@@ -17,10 +17,11 @@ import numpy as np
 
 from repro.ml.arena import ForestArena, cached_arena, exact_mode
 from repro.ml.base import BaseClassifier, check_X, check_X_y
-from repro.ml.binning import BinnedDataset, get_binned
+from repro.ml.binning import BinnedDataset
 from repro.ml.tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
+    _binned_for_fit,
     _check_split_algorithm,
 )
 from repro.obs import inc_counter, trace_span
@@ -52,26 +53,44 @@ def _tree_binned(binned: BinnedDataset | None, sample: np.ndarray):
     return binned.take(sample)
 
 
-def _fit_classifier_tree(
-    data: SharedPayload, sample: np.ndarray, seed: int, params: dict
-) -> DecisionTreeClassifier:
+def _fit_tree(
+    data: SharedPayload, sample: np.ndarray, seed: int, tree_cls: type, params: dict
+):
     with trace_span("forest.fit_tree"):
         X, y, binned = data.get()
-        tree = DecisionTreeClassifier(seed=seed, **params)
+        tree = tree_cls(seed=seed, **params)
         tree.fit(X[sample], y[sample], binned=_tree_binned(binned, sample))
     inc_counter("forest_trees_fitted_total")
     return tree
 
 
-def _fit_regressor_tree(
-    data: SharedPayload, sample: np.ndarray, seed: int, params: dict
-) -> DecisionTreeRegressor:
-    with trace_span("forest.fit_tree"):
-        X, y, binned = data.get()
-        tree = DecisionTreeRegressor(seed=seed, **params)
-        tree.fit(X[sample], y[sample], binned=_tree_binned(binned, sample))
-    inc_counter("forest_trees_fitted_total")
-    return tree
+#: Forest parameters passed verbatim to every member tree.
+_MEMBER_PARAMS = (
+    "max_depth",
+    "min_samples_split",
+    "min_samples_leaf",
+    "max_features",
+    "split_algorithm",
+)
+
+
+def _fit_members(
+    forest, X: np.ndarray, y: np.ndarray, binned, tree_cls: type, param_names
+) -> None:
+    """Fit ``forest.trees_`` from its bootstrap plans; set ``bin_edges_``."""
+    params = {name: getattr(forest, name) for name in param_names}
+    rng = np.random.default_rng(forest.seed)
+    plans = _derive_tree_plans(rng, forest.n_estimators, X.shape[0], forest.bootstrap)
+    # Quantile-bin once in the parent; every tree (and every fork
+    # worker, via copy-on-write) reuses the same codes.
+    binned = _binned_for_fit(forest.split_algorithm, X, binned)
+    with trace_span("forest.fit"), share((X, y, binned)) as data:
+        forest.trees_ = ParallelExecutor(forest.n_jobs).starmap(
+            _fit_tree,
+            [(data, sample, seed, tree_cls, params) for sample, seed in plans],
+        )
+    forest.bin_edges_ = None if binned is None else binned.bin_edges
+    forest._arena_ = None
 
 
 class RandomForestClassifier(BaseClassifier):
@@ -134,28 +153,14 @@ class RandomForestClassifier(BaseClassifier):
             raise ValueError("RandomForestClassifier expects 2-D input")
         self.classes_ = np.unique(y)
         self.n_features_ = X.shape[1]
-        rng = np.random.default_rng(self.seed)
-        plans = _derive_tree_plans(rng, self.n_estimators, X.shape[0], self.bootstrap)
-        params = {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "class_weight": self.class_weight,
-            "split_algorithm": self.split_algorithm,
-        }
-        # Quantile-bin once in the parent; every tree (and every fork
-        # worker, via copy-on-write) reuses the same codes.
-        if self.split_algorithm == "hist" and binned is None:
-            binned = get_binned(X)
-        elif self.split_algorithm != "hist":
-            binned = None
-        with trace_span("forest.fit"), share((X, y, binned)) as data:
-            self.trees_ = ParallelExecutor(self.n_jobs).starmap(
-                _fit_classifier_tree,
-                [(data, sample, seed, params) for sample, seed in plans],
-            )
-
+        _fit_members(
+            self,
+            X,
+            y,
+            binned,
+            DecisionTreeClassifier,
+            _MEMBER_PARAMS + ("class_weight",),
+        )
         self.feature_importances_ = np.mean(
             [tree.feature_importances_ for tree in self.trees_], axis=0
         )
@@ -163,8 +168,6 @@ class RandomForestClassifier(BaseClassifier):
         # precompute each tree's column alignment onto the forest's class
         # list once instead of rebuilding it on every predict_proba call.
         self._tree_columns_ = self._align_tree_columns()
-        self.bin_edges_ = binned.bin_edges if binned is not None else None
-        self._arena_ = None
         return self
 
     def _align_tree_columns(self) -> list[np.ndarray]:
@@ -240,26 +243,7 @@ class RandomForestRegressor:
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("inputs contain NaN or infinite values")
         self.n_features_ = X.shape[1]
-        rng = np.random.default_rng(self.seed)
-        plans = _derive_tree_plans(rng, self.n_estimators, X.shape[0], self.bootstrap)
-        params = {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "split_algorithm": self.split_algorithm,
-        }
-        if self.split_algorithm == "hist" and binned is None:
-            binned = get_binned(X)
-        elif self.split_algorithm != "hist":
-            binned = None
-        with trace_span("forest.fit"), share((X, y, binned)) as data:
-            self.trees_ = ParallelExecutor(self.n_jobs).starmap(
-                _fit_regressor_tree,
-                [(data, sample, seed, params) for sample, seed in plans],
-            )
-        self.bin_edges_ = binned.bin_edges if binned is not None else None
-        self._arena_ = None
+        _fit_members(self, X, y, binned, DecisionTreeRegressor, _MEMBER_PARAMS)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -267,7 +251,7 @@ class RandomForestRegressor:
             raise RuntimeError("RandomForestRegressor is not fitted yet")
         X = check_X(X, self.n_features_)
         if exact_mode():
-            return np.mean([tree.predict(X) for tree in self.trees_], axis=0)
+            return np.mean([tree._predict(X) for tree in self.trees_], axis=0)
         arena = cached_arena(
             self,
             lambda: ForestArena.from_trees(

@@ -11,8 +11,13 @@ import numpy as np
 
 from repro.ml.arena import ForestArena, cached_arena, exact_mode
 from repro.ml.base import BaseClassifier, check_X, check_X_y
-from repro.ml.binning import BinnedDataset, get_binned
-from repro.ml.tree import DecisionTreeRegressor, _check_split_algorithm
+from repro.ml.binning import BinnedDataset
+from repro.ml.tree import (
+    DecisionTreeRegressor,
+    _binned_for_fit,
+    _check_growth_params,
+    _check_split_algorithm,
+)
 from repro.obs import inc_counter, trace_span
 
 
@@ -60,6 +65,7 @@ class GradientBoostingClassifier(BaseClassifier):
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0 < subsample <= 1:
             raise ValueError("subsample must be in (0, 1]")
+        _check_growth_params(max_depth, min_samples_leaf=min_samples_leaf)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -98,10 +104,7 @@ class GradientBoostingClassifier(BaseClassifier):
         subsample_size = max(1, int(round(self.subsample * n_samples)))
         # Bin once; all boosting rounds reuse the codes (the residual
         # targets change, the feature matrix never does).
-        if self.split_algorithm == "hist" and binned is None:
-            binned = get_binned(X)
-        elif self.split_algorithm != "hist":
-            binned = None
+        binned = _binned_for_fit(self.split_algorithm, X, binned)
         self.trees_: list[DecisionTreeRegressor] = []
         self.train_deviance_: list[float] = []
         # One sigmoid per boosting round: the probabilities used for this
@@ -128,7 +131,8 @@ class GradientBoostingClassifier(BaseClassifier):
             else:
                 # rows is the identity permutation; skip the row gather.
                 tree.fit(X, residuals, binned=binned)
-            raw += self.learning_rate * tree.predict(X)
+            # X was validated once above; skip per-round re-validation.
+            raw += self.learning_rate * tree._predict(X)
             self.trees_.append(tree)
             probabilities = _sigmoid(raw)
             clipped = np.clip(probabilities, 1e-12, 1 - 1e-12)
@@ -146,7 +150,7 @@ class GradientBoostingClassifier(BaseClassifier):
         if exact_mode():
             raw = np.full(X.shape[0], self.initial_score_)
             for tree in self.trees_:
-                raw += self.learning_rate * tree.predict(X)
+                raw += self.learning_rate * tree._predict(X)
             return raw
         arena = cached_arena(
             self,

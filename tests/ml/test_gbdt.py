@@ -66,6 +66,25 @@ class TestGBDT:
             GradientBoostingClassifier(learning_rate=0.0)
         with pytest.raises(ValueError):
             GradientBoostingClassifier(subsample=1.5)
+        with pytest.raises(ValueError, match="max_depth"):
+            GradientBoostingClassifier(max_depth=0)
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            GradientBoostingClassifier(min_samples_leaf=0, split_algorithm="hist")
+
+    def test_rounds_do_not_revalidate_training_matrix(self, binary_blobs, monkeypatch):
+        import repro.ml.tree as tree_module
+
+        calls = []
+        original = tree_module.check_X
+
+        def counting_check_X(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "check_X", counting_check_X)
+        X, y = binary_blobs
+        GradientBoostingClassifier(n_estimators=5, seed=0).fit(X, y)
+        assert calls == []
 
     def test_single_sigmoid_per_round_matches_reference(self, binary_blobs):
         """The carried-over sigmoid must be bit-identical to the old

@@ -70,12 +70,13 @@ class TestClassificationTree:
         assert np.all(model.predict_proba(X)[:, 0] == 0.5)
 
     def test_invalid_params_raise(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(max_depth=0)
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(min_samples_split=1)
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(min_samples_leaf=0)
+        for factory in (DecisionTreeClassifier, DecisionTreeRegressor):
+            with pytest.raises(ValueError, match="max_depth"):
+                factory(max_depth=0)
+            with pytest.raises(ValueError, match="min_samples_split"):
+                factory(min_samples_split=1)
+            with pytest.raises(ValueError, match="min_samples_leaf"):
+                factory(min_samples_leaf=0)
 
     def test_deterministic_with_max_features(self, binary_blobs):
         X, y = binary_blobs
@@ -118,6 +119,16 @@ class TestRegressionTree:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             DecisionTreeRegressor().fit(np.ones((3, 1)), np.ones(4))
+
+    def test_predict_validates_input(self):
+        X = np.random.default_rng(0).normal(size=(30, 5))
+        with pytest.raises(RuntimeError, match="not fitted"):
+            DecisionTreeRegressor().predict(X)
+        model = DecisionTreeRegressor().fit(X, X[:, 0])
+        with pytest.raises(ValueError, match="features"):
+            model.predict(np.ones((30, 10)))
+        with pytest.raises(ValueError, match="NaN"):
+            model.predict(np.full((2, 5), np.nan))
 
 
 class TestMaxFeatures:
