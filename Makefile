@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test smoke serve-smoke obs-serve-smoke scale-smoke bench bench-parallel bench-obs bench-hist bench-scale bench-predict chaos obs-smoke lint-obs examples exhibits clean
+.PHONY: install test smoke serve-smoke obs-serve-smoke scale-smoke bench bench-e2e bench-e2e-selftest bench-parallel bench-obs bench-hist bench-scale bench-predict chaos obs-smoke lint-obs examples exhibits clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -11,7 +11,7 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-smoke: serve-smoke obs-serve-smoke scale-smoke
+smoke: serve-smoke obs-serve-smoke scale-smoke bench-e2e-selftest
 	PYTHONPATH=src pytest tests -m smoke
 
 serve-smoke:
@@ -22,6 +22,16 @@ obs-serve-smoke:
 
 scale-smoke:
 	PYTHONPATH=src python tools/scale_smoke.py
+
+# five interleaved repeats of every end-to-end workload plus one traced
+# run each; appends to .bench_build/e2e/results/BENCH_<workload>.json
+bench-e2e:
+	python3 -m benchmarks.e2e run --repeats 5 --traced
+
+# the harness self-test at smoke size (~30 s); fails when a workload
+# stops calling one of the spans it declares (EXPECTED_SPANS)
+bench-e2e-selftest:
+	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 
 bench-parallel:
 	PYTHONPATH=src pytest benchmarks/test_parallel_speedup.py -m parallel_bench -s

@@ -4,20 +4,25 @@ The paper pushes the trained model to consumer machines, where it must
 score each day's fresh telemetry in microseconds without the batch
 pipeline's columnar dataset. :class:`ClientPredictor` packages a fitted
 MFPA for that setting: it keeps per-drive incremental state (cumulative
-W/B counters, encoded firmware) and turns one day's raw readings into
-the same feature vector the batch pipeline would assemble — verified
-equivalent in the test suite.
+W/B counters, encoded firmware, a trailing-history ring) and turns raw
+daily readings into the same feature rows the batch pipeline would
+assemble — verified equivalent in the test suite.
 
-``observe`` is exception-safe: a rejected reading (out-of-order day,
-missing column in strict mode) leaves the drive's state untouched, so
+Ingest is batch-shaped: :meth:`ClientPredictor.ingest` assembles a
+whole batch of readings at once from slot-indexed per-drive arrays and
+a column plan compiled at construction; ``observe`` and ``alarm`` wrap
+a batch of one. A rejected reading (out-of-order day, unseen firmware,
+missing column in strict mode) leaves its drive's state untouched, so
 the caller can correct the reading and retry. With
-``on_missing="impute"`` a reading with absent columns is scored anyway
-— last-known value, else zero — and flagged degraded (see
-:mod:`repro.robustness.degraded` for dimension-level fallback).
+``on_missing="impute"`` a reading with absent or non-finite values is
+scored anyway — last-known value, else zero — and flagged degraded
+(see :mod:`repro.robustness.degraded` for dimension-level fallback).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +31,17 @@ from repro.core.features import FIRMWARE_CODE_COLUMN
 from repro.core.pipeline import MFPA
 from repro.telemetry.dataset import B_COLUMNS, W_COLUMNS
 
-_EVENT_COLUMNS = (*W_COLUMNS, *B_COLUMNS)
+_EVENT_COLUMNS = frozenset((*W_COLUMNS, *B_COLUMNS))
+_NO_DAY = np.iinfo(np.int64).min
 
 
 @dataclass
 class _DriveState:
-    """Incremental per-drive accumulators."""
+    """One drive's state in the pre-columnar pickle layout.
+
+    Only :meth:`ClientPredictor.__setstate__` reads it, so predictors
+    pickled in that layout (older serve checkpoints) still load.
+    """
 
     cumulative_events: dict[str, float] = field(default_factory=dict)
     history: list[np.ndarray] = field(default_factory=list)
@@ -39,6 +49,338 @@ class _DriveState:
     last_raw: dict[str, float] = field(default_factory=dict)
     last_firmware: str | None = None
     n_degraded: int = 0
+
+
+class _DriveTable:
+    """Every tracked drive's streaming state, one array row per drive.
+
+    A row of the table's output is ``depth`` blocks of ``columns``,
+    oldest first. Each drive owns a slot: its cumulative W/B counters,
+    last-known raw values (NaN = never seen), firmware code (NaN = none
+    seen), last day and history ring live at that index. A drive's first
+    vector fills its whole ring, which is the earliest-vector padding
+    :class:`~repro.core.features.FeatureAssembler` applies, so a row is
+    just the ring flattened.
+    """
+
+    _ARRAYS = (
+        "last_day", "n_history", "n_degraded", "last_raw", "cumulative",
+        "firmware", "ring",
+    )
+    _PERSISTED = ("columns", "depth", "encoder", "slots", "free", *_ARRAYS)
+
+    def __init__(self, columns, depth: int, encoder):
+        self.columns = tuple(columns)
+        self.depth = int(depth)
+        self.encoder = encoder
+        self._compile()
+        self.slots: dict[int, int] = {}
+        self.free: list[int] = []
+        self._allocate(0)
+
+    def _compile(self) -> None:
+        """The column plan: where raw, ``cum_`` and firmware values go."""
+        raw, events, self.fw_pos = [], [], None
+        for position, column in enumerate(self.columns):
+            if column == FIRMWARE_CODE_COLUMN:
+                self.fw_pos = position
+            elif not column.startswith("cum_"):
+                raw.append(position)
+            elif column[4:] in _EVENT_COLUMNS:
+                events.append(position)
+            # a cum_ column over a non-event field stays 0.0
+        self.raw_pos = np.array(raw, dtype=np.intp)
+        self.cum_pos = np.array(events, dtype=np.intp)
+        self.raw_columns = tuple(self.columns[p] for p in raw)
+        self.cum_columns = tuple(self.columns[p] for p in events)
+        self.event_columns = tuple(c[4:] for c in self.cum_columns)
+        self.sources = self.raw_columns + self.event_columns
+        # reading -> tuple of source values; KeyError when one is absent
+        # (itemgetter returns a bare value, not a tuple, for one name)
+        self.get_sources = (
+            operator.itemgetter(*self.sources)
+            if len(self.sources) > 1
+            else lambda reading: tuple(reading[c] for c in self.sources)
+        )
+        self.fw_codes = (
+            {label: float(code) for code, label in enumerate(self.encoder.classes_)}
+            if self.fw_pos is not None
+            else None
+        )
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._PERSISTED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._compile()
+
+    # -- slots ----------------------------------------------------------
+    def _allocate(self, capacity: int) -> None:
+        width = len(self.columns)
+        self.last_day = np.full(capacity, _NO_DAY, dtype=np.int64)
+        self.n_history = np.zeros(capacity, dtype=np.int64)
+        self.n_degraded = np.zeros(capacity, dtype=np.int64)
+        self.last_raw = np.full((capacity, len(self.raw_columns)), np.nan)
+        self.cumulative = np.zeros((capacity, len(self.cum_columns)))
+        self.firmware = np.full(capacity, np.nan)
+        self.ring = np.zeros((capacity, self.depth, width))
+
+    def _slot(self, serial: int) -> int:
+        slot = self.slots.get(serial)
+        if slot is not None:
+            return slot
+        if self.free:
+            slot = self.free.pop()
+        else:
+            slot = len(self.slots)
+            capacity = len(self.last_day)
+            if slot >= capacity:
+                kept = {name: getattr(self, name) for name in self._ARRAYS}
+                self._allocate(max(64, 2 * capacity))
+                for name, array in kept.items():
+                    getattr(self, name)[:capacity] = array
+        self.slots[serial] = slot
+        return slot
+
+    def release(self, serial: int) -> None:
+        slot = self.slots.pop(serial, None)
+        if slot is None:
+            return
+        self.last_day[slot] = _NO_DAY
+        self.n_history[slot] = 0
+        self.n_degraded[slot] = 0
+        self.last_raw[slot] = np.nan
+        self.cumulative[slot] = 0.0
+        self.firmware[slot] = np.nan
+        self.free.append(slot)
+
+    # -- assembly -------------------------------------------------------
+    def _values(self, readings, errors: dict) -> np.ndarray:
+        """``(n, len(sources))`` floats; NaN where a value is absent."""
+        nan = math.nan
+        sources = self.sources
+        rows = []
+        for reading in readings:
+            try:
+                rows.append(self.get_sources(reading))
+            except KeyError:
+                rows.append([reading.get(c, nan) for c in sources])
+        try:
+            return np.array(rows, dtype=float).reshape(len(rows), len(sources))
+        except (TypeError, ValueError):
+            values = np.full((len(rows), len(sources)), nan)
+            for i, row in enumerate(rows):
+                try:
+                    values[i] = row
+                except (TypeError, ValueError) as error:
+                    errors[i] = ValueError(f"reading has a non-numeric value: {error}")
+            return values
+
+    def _firmware(self, readings, errors: dict) -> np.ndarray:
+        """Firmware codes (NaN where absent); unseen labels are errors."""
+        codes = np.full(len(readings), np.nan)
+        if self.fw_codes is None:
+            return codes
+        lookup = self.fw_codes.get
+        for i, reading in enumerate(readings):
+            label = reading.get("firmware")
+            if label is None:
+                continue
+            try:
+                code = lookup(label)
+            except TypeError:  # unhashable label
+                code = None
+            if code is None:
+                errors[i] = ValueError(f"unseen label {label!r}")
+            else:
+                codes[i] = code
+        return codes
+
+    def ingest(self, serials, days, readings, impute: bool):
+        """Commit a batch; see :meth:`ClientPredictor.ingest`.
+
+        Returns ``(rows, rejections, missing)``: ``missing`` names the
+        imputed inputs of the last accepted reading (``None`` when no
+        reading was accepted).
+        """
+        n = len(readings)
+        serials = np.fromiter((int(s) for s in serials), dtype=np.int64, count=n)
+        days = np.fromiter((int(d) for d in days), dtype=np.int64, count=n)
+        errors: dict[int, Exception] = {}
+        values = self._values(readings, errors)
+        codes = self._firmware(readings, errors)
+        finite = np.isfinite(values)
+        n_raw = len(self.raw_columns)
+        raw_missing = ~finite[:, :n_raw]
+        fw_missing = (
+            np.isnan(codes) if self.fw_pos is not None else np.zeros(n, dtype=bool)
+        )
+        # An absent event count adds nothing and is not a defect; a
+        # present but non-finite one is treated as absent and flagged.
+        bad_event = np.zeros((n, len(self.event_columns)), dtype=bool)
+        for i, j in zip(*np.nonzero(~finite[:, n_raw:])):
+            bad_event[i, j] = self.event_columns[j] in readings[i]
+        degraded = raw_missing.any(axis=1) | fw_missing | bad_event.any(axis=1)
+        if not impute:
+            for i in np.flatnonzero(degraded):
+                errors.setdefault(int(i), self._strict_error(
+                    readings[i], raw_missing[i], bad_event[i]
+                ))
+
+        new = [int(s) for s in serials if int(s) not in self.slots]
+        slots = np.fromiter(
+            (self._slot(int(s)) for s in serials), dtype=np.intp, count=n
+        )
+        rejected = np.zeros(n, dtype=bool)
+        rejected[list(errors)] = True
+        out = np.empty((n, self.depth * len(self.columns)))
+        accepted = np.zeros(n, dtype=bool)
+        for idx in self._rounds(serials, days):
+            late = self.last_day[slots[idx]] >= days[idx]
+            for i in idx[late]:
+                errors[int(i)] = ValueError(
+                    f"out-of-order reading for drive {serials[i]}: "
+                    f"day {days[i]} after day {self.last_day[slots[i]]}"
+                )
+            rejected[idx[late]] = True
+            idx = idx[~rejected[idx]]
+            if idx.size:
+                out[idx] = self._commit(
+                    slots[idx], days[idx], values[idx], finite[idx],
+                    codes[idx], degraded[idx],
+                )
+                accepted[idx] = True
+        for serial in new:
+            if self.last_day[self.slots[serial]] == _NO_DAY:
+                self.release(serial)
+
+        missing = None
+        if accepted.any():
+            last = int(np.flatnonzero(accepted)[-1])
+            missing = (
+                *(c for c, m in zip(self.raw_columns, raw_missing[last]) if m),
+                *(("firmware",) if fw_missing[last] else ()),
+                *(c for c, m in zip(self.event_columns, bad_event[last]) if m),
+            )
+        return out[accepted], errors, missing
+
+    def _strict_error(self, reading, raw_missing, bad_event) -> Exception:
+        for column, missing in zip(self.raw_columns, raw_missing):
+            if missing:
+                if column not in reading:
+                    return KeyError(f"reading is missing {column!r}")
+                return ValueError(f"reading has a non-finite {column!r}")
+        if self.fw_pos is not None and reading.get("firmware") is None:
+            return KeyError("reading is missing 'firmware'")
+        column = self.event_columns[int(np.flatnonzero(bad_event)[0])]
+        return ValueError(f"reading has a non-finite {column!r}")
+
+    @staticmethod
+    def _rounds(serials: np.ndarray, days: np.ndarray):
+        """Batch positions in rounds of distinct drives.
+
+        Round ``k`` holds each drive's ``k``-th reading in day order, so
+        applying the rounds in turn is one-at-a-time ingest.
+        """
+        n = serials.size
+        if n == 0:
+            return
+        order = np.lexsort((days, serials))
+        ordered = serials[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        if starts.size == n:
+            yield np.arange(n)
+            return
+        rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+        for k in range(int(rank.max()) + 1):
+            yield np.sort(order[rank == k])
+
+    def _commit(self, slots, days, values, finite, codes, degraded) -> np.ndarray:
+        """Apply one round (distinct slots); return its rows."""
+        n_raw = len(self.raw_columns)
+        raw_ok = finite[:, :n_raw]
+        known = np.where(raw_ok, values[:, :n_raw], self.last_raw[slots])
+        self.last_raw[slots] = known
+        self.cumulative[slots] += np.where(
+            finite[:, n_raw:], values[:, n_raw:], 0.0
+        )
+        firmware = np.where(np.isnan(codes), self.firmware[slots], codes)
+        self.firmware[slots] = firmware
+
+        vectors = np.zeros((len(slots), len(self.columns)))
+        vectors[:, self.raw_pos] = np.where(np.isnan(known), 0.0, known)
+        vectors[:, self.cum_pos] = self.cumulative[slots]
+        if self.fw_pos is not None:
+            vectors[:, self.fw_pos] = np.where(np.isnan(firmware), 0.0, firmware)
+
+        ring = self.ring[slots]
+        if self.depth > 1:
+            fresh = self.n_history[slots] == 0
+            ring[:, :-1] = ring[:, 1:]
+            ring[fresh] = vectors[fresh, None, :]
+        ring[:, -1] = vectors
+        self.ring[slots] = ring
+        self.n_history[slots] = np.minimum(self.n_history[slots] + 1, self.depth)
+        self.last_day[slots] = days
+        self.n_degraded[slots] += degraded
+        return ring.reshape(len(slots), -1)
+
+    # -- checkpointing --------------------------------------------------
+    def snapshot(self) -> dict:
+        classes = self.encoder.classes_ if self.fw_pos is not None else ()
+        last_raw = self.last_raw.tolist()
+        cumulative = self.cumulative.tolist()
+        drives = {}
+        for serial, slot in self.slots.items():
+            code = self.firmware[slot]
+            drives[str(serial)] = {
+                "cumulative_events": dict(zip(self.cum_columns, cumulative[slot])),
+                "history": self.ring[
+                    slot, self.depth - self.n_history[slot]:
+                ].tolist(),
+                "last_day": int(self.last_day[slot]),
+                "last_raw": {
+                    column: value
+                    for column, value in zip(self.raw_columns, last_raw[slot])
+                    if not math.isnan(value)
+                },
+                "last_firmware": None if np.isnan(code) else classes[int(code)],
+                "n_degraded": int(self.n_degraded[slot]),
+            }
+        return {"drives": drives}
+
+    def restore(self, snapshot: dict) -> None:
+        # A drive with no committed day carries no state; older layouts
+        # kept one after a rejected first reading.
+        entries = [
+            (int(serial), entry)
+            for serial, entry in snapshot["drives"].items()
+            if entry["last_day"] is not None
+        ]
+        self.slots, self.free = {}, []
+        self._allocate(len(entries))
+        width = len(self.columns)
+        for slot, (serial, entry) in enumerate(entries):
+            self.slots[serial] = slot
+            self.last_day[slot] = entry["last_day"]
+            self.n_degraded[slot] = entry["n_degraded"]
+            cumulative = entry["cumulative_events"]
+            self.cumulative[slot] = [cumulative.get(c, 0.0) for c in self.cum_columns]
+            last_raw = entry["last_raw"]
+            self.last_raw[slot] = [last_raw.get(c, math.nan) for c in self.raw_columns]
+            if self.fw_pos is not None and entry["last_firmware"] is not None:
+                self.firmware[slot] = self.fw_codes[entry["last_firmware"]]
+            history = np.asarray(entry["history"], dtype=float)[-self.depth:]
+            if history.ndim != 2 or history.shape[1] != width:
+                raise ValueError(
+                    f"snapshot history of drive {serial} has shape "
+                    f"{history.shape}; this drive state holds rows of "
+                    f"{width} columns"
+                )
+            self.ring[slot] = history[0]
+            self.ring[slot, self.depth - len(history):] = history
+            self.n_history[slot] = len(history)
 
 
 class ClientPredictor:
@@ -56,10 +398,10 @@ class ClientPredictor:
     with ``history_length > 1``.
 
     ``on_missing`` selects the missing-column policy: ``"raise"``
-    (default, reject the reading with ``KeyError``) or ``"impute"``
-    (fill from the drive's last-known value, else zero, and record the
-    prediction as degraded in ``last_prediction_degraded`` /
-    ``last_missing_columns``).
+    (default, reject the reading with ``KeyError``, or ``ValueError``
+    for a non-finite value) or ``"impute"`` (fill from the drive's
+    last-known value, else zero, and record the prediction as degraded
+    in ``last_prediction_degraded`` / ``last_missing_columns``).
     """
 
     def __init__(
@@ -79,9 +421,24 @@ class ClientPredictor:
         self._encoder = firmware_encoder
         self.threshold = threshold
         self.on_missing = on_missing
-        self._states: dict[int, _DriveState] = {}
+        self._table = _DriveTable(self._columns, history_length, firmware_encoder)
+        #: Positions of this model's input row within an ingest row;
+        #: ``None`` while the two layouts are the same (see :meth:`cover`).
+        self._model_index: np.ndarray | None = None
         self.last_prediction_degraded = False
         self.last_missing_columns: tuple[str, ...] = ()
+
+    def __setstate__(self, state: dict) -> None:
+        legacy = state.pop("_states", None)
+        self.__dict__.update(state)
+        if legacy is not None:  # pickled before the columnar drive table
+            self._table = _DriveTable(
+                self._columns, self._history_length, self._encoder
+            )
+            self._model_index = None
+            self._table.restore(
+                {"drives": {str(s): vars(d) for s, d in legacy.items()}}
+            )
 
     @classmethod
     def from_model(cls, fitted: MFPA, on_missing: str = "raise") -> "ClientPredictor":
@@ -98,118 +455,102 @@ class ClientPredictor:
 
     @property
     def n_tracked_drives(self) -> int:
-        return len(self._states)
+        return len(self._table.slots)
 
-    def _feature_vector(
-        self,
-        state: _DriveState,
-        reading: dict,
-        cumulative: dict[str, float],
-    ) -> tuple[np.ndarray, list[str]]:
-        """Assemble the vector without touching ``state``.
+    @property
+    def firmware_vocabulary(self) -> frozenset | None:
+        """Firmware labels ingest accepts; ``None`` when the rows carry no
+        firmware code (any label is then accepted and ignored)."""
+        codes = self._table.fw_codes
+        return frozenset(codes) if codes is not None else None
 
-        Returns ``(vector, missing_columns)``; raises ``KeyError`` in
-        strict mode instead of imputing.
+    def cover(self, other: "ClientPredictor") -> np.ndarray:
+        """Widen the drive state so ingest rows also carry ``other``'s inputs.
+
+        Returns the positions of ``other``'s model-input row within an
+        ingest row: ``rows[:, index]`` is what ``other`` would have
+        assembled from the same readings. The state covers the union of
+        both column sets over the longer history; while that equals this
+        model's own layout nothing changes, otherwise tracked drives are
+        dropped, so call it before ingesting.
         """
-        values = []
-        missing: list[str] = []
-        for column in self._columns:
-            if column == FIRMWARE_CODE_COLUMN:
-                firmware = reading.get("firmware")
-                if firmware is None:
-                    if self.on_missing == "raise":
-                        raise KeyError("reading is missing 'firmware'")
-                    missing.append("firmware")
-                    firmware = state.last_firmware
-                    if firmware is None:
-                        values.append(0.0)
-                        continue
-                values.append(float(self._encoder.transform([firmware])[0]))
-            elif column.startswith("cum_"):
-                values.append(cumulative.get(column, 0.0))
-            else:
-                if column not in reading:
-                    if self.on_missing == "raise":
-                        raise KeyError(f"reading is missing {column!r}")
-                    missing.append(column)
-                    values.append(state.last_raw.get(column, 0.0))
-                else:
-                    values.append(float(reading[column]))
-        return np.asarray(values), missing
-
-    def ingest(self, serial: int, day: int, reading: dict) -> np.ndarray:
-        """Commit one day's telemetry; return the model-input row.
-
-        This is :meth:`observe` without the model call — the streaming
-        state update (cumulative counters, trailing history, last-known
-        values) plus feature assembly. The serve daemon uses it to
-        assemble rows incrementally and batch the predictions; pass the
-        returned row(s) to :meth:`predict_matrix`.
-
-        Readings must arrive in chronological order per drive; the daily
-        W/B counts in ``reading`` are added to the drive's running
-        cumulative counters *before* assembly, matching the batch
-        pipeline's accumulate-then-assemble order. All validation runs
-        before any state mutation — a raised reading is retryable.
-        """
-        state = self._states.setdefault(int(serial), _DriveState())
-        if state.last_day is not None and day <= state.last_day:
+        if FIRMWARE_CODE_COLUMN in other._columns and list(
+            other._encoder.classes_
+        ) != list(self._encoder.classes_):
             raise ValueError(
-                f"out-of-order reading for drive {serial}: "
-                f"day {day} after day {state.last_day}"
+                "the two models encode firmware differently; their rows "
+                "cannot share one drive state"
             )
+        columns = self._table.columns + tuple(
+            c for c in other._columns if c not in self._table.columns
+        )
+        depth = max(self._table.depth, other._history_length)
+        if (columns, depth) != (self._table.columns, self._table.depth):
+            self._table = _DriveTable(columns, depth, self._encoder)
+            self._model_index = self._index_of(
+                self._columns, self._history_length
+            )
+        return self._index_of(other._columns, other._history_length)
 
-        # Stage the cumulative update on a copy so a validation failure
-        # below leaves the drive's counters untouched.
-        cumulative = dict(state.cumulative_events)
-        for column in _EVENT_COLUMNS:
-            if column in reading:
-                cum_column = f"cum_{column}"
-                cumulative[cum_column] = (
-                    cumulative.get(cum_column, 0.0) + float(reading[column])
-                )
+    def _index_of(self, columns, history_length) -> np.ndarray:
+        layout, depth = self._table.columns, self._table.depth
+        positions = [layout.index(c) for c in columns]
+        return np.array(
+            [
+                block * len(layout) + p
+                for block in range(depth - history_length, depth)
+                for p in positions
+            ],
+            dtype=np.intp,
+        )
 
-        vector, missing = self._feature_vector(state, reading, cumulative)
+    def ingest(self, serials, days, readings) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Commit a batch of daily readings; return their input rows.
 
-        # ---- validation passed: commit ----
-        state.last_day = int(day)
-        state.cumulative_events = cumulative
-        for column in self._columns:
-            if column in reading:
-                state.last_raw[column] = float(reading[column])
-        if reading.get("firmware") is not None:
-            state.last_firmware = reading["firmware"]
-        self.last_missing_columns = tuple(missing)
-        self.last_prediction_degraded = bool(missing)
-        if missing:
-            state.n_degraded += 1
+        ``serials``, ``days`` and ``readings`` are parallel sequences.
+        Returns ``(rows, rejections)``: one row per accepted reading, in
+        batch order, and ``{batch position: exception}`` for each
+        rejected one. This is :meth:`observe` without the model call —
+        the streaming state update (cumulative counters, trailing
+        history, last-known values) plus feature assembly; pass the rows
+        to :meth:`predict_matrix`.
 
-        state.history.append(vector)
-        if len(state.history) > self._history_length:
-            state.history.pop(0)
+        Readings must arrive in chronological order per drive: a day at
+        or before the drive's last committed day is rejected. Readings
+        of one drive within a batch are applied in day order, so the
+        result is identical to ingesting them one at a time. The daily
+        W/B counts are added to the drive's running counters *before*
+        assembly, matching the batch pipeline's accumulate-then-assemble
+        order. A rejected reading leaves its drive untouched — it is
+        retryable.
+        """
+        rows, rejections, missing = self._table.ingest(
+            serials, days, readings, impute=self.on_missing == "impute"
+        )
+        if missing is not None:
+            self.last_missing_columns = missing
+            self.last_prediction_degraded = bool(missing)
+        return rows, rejections
 
-        if self._history_length == 1:
-            return vector
-        # Pad with the earliest available vector, earliest-first —
-        # the same clamping FeatureAssembler applies.
-        padded = [state.history[0]] * (
-            self._history_length - len(state.history)
-        ) + state.history
-        return np.concatenate(padded)
+    def model_rows(self, X: np.ndarray) -> np.ndarray:
+        """This model's input columns of stacked :meth:`ingest` rows."""
+        return X if self._model_index is None else X[:, self._model_index]
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for stacked :meth:`ingest` rows."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._model.predict_proba(X)[:, 1]
+        return self._model.predict_proba(self.model_rows(X))[:, 1]
 
     def observe(self, serial: int, day: int, reading: dict) -> float:
         """Ingest one day's telemetry and return the failure probability.
 
-        Equivalent to ``predict_matrix(ingest(...))[0]`` — see
-        :meth:`ingest` for the ordering and retry contract.
+        A batch of one through :meth:`ingest`; a rejected reading raises
+        its rejection.
         """
-        row = self.ingest(serial, day, reading)
-        return float(self.predict_matrix(row[None, :])[0])
+        rows, rejections = self.ingest([serial], [day], [reading])
+        if rejections:
+            raise rejections[0]
+        return float(self.predict_matrix(rows)[0])
 
     def alarm(self, serial: int, day: int, reading: dict) -> tuple[bool, float]:
         """Convenience: ``(raises_alarm, probability)`` for one reading."""
@@ -218,12 +559,12 @@ class ClientPredictor:
 
     def n_degraded_predictions(self, serial: int) -> int:
         """How many of a drive's predictions used imputed values."""
-        state = self._states.get(int(serial))
-        return state.n_degraded if state is not None else 0
+        slot = self._table.slots.get(int(serial))
+        return int(self._table.n_degraded[slot]) if slot is not None else 0
 
     def forget(self, serial: int) -> None:
         """Drop a drive's state (it was replaced or decommissioned)."""
-        self._states.pop(int(serial), None)
+        self._table.release(int(serial))
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -235,33 +576,8 @@ class ClientPredictor:
         restored from a snapshot scores future readings bit-identically
         to one that never stopped — the serve daemon's resume contract.
         """
-        return {
-            "drives": {
-                str(serial): {
-                    "cumulative_events": dict(state.cumulative_events),
-                    "history": [vector.tolist() for vector in state.history],
-                    "last_day": state.last_day,
-                    "last_raw": dict(state.last_raw),
-                    "last_firmware": state.last_firmware,
-                    "n_degraded": state.n_degraded,
-                }
-                for serial, state in self._states.items()
-            }
-        }
+        return self._table.snapshot()
 
     def restore(self, snapshot: dict) -> None:
         """Replace all per-drive state with a :meth:`snapshot`."""
-        states: dict[int, _DriveState] = {}
-        for serial, entry in snapshot["drives"].items():
-            states[int(serial)] = _DriveState(
-                cumulative_events=dict(entry["cumulative_events"]),
-                history=[
-                    np.asarray(vector, dtype=float)
-                    for vector in entry["history"]
-                ],
-                last_day=entry["last_day"],
-                last_raw=dict(entry["last_raw"]),
-                last_firmware=entry["last_firmware"],
-                n_degraded=entry["n_degraded"],
-            )
-        self._states = states
+        self._table.restore(snapshot)

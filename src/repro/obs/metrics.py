@@ -267,6 +267,10 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
     ("serve_e2e_latency_seconds", "histogram",
      "ingest-to-alarm latency of emitted alarms (daemon clock)",
      SECONDS_BUCKETS, True),
+    ("serve_stage_seconds", "histogram",
+     "wall-clock per serve stage, observed once per pump (gate, assemble) "
+     "or window flush (score, decide, checkpoint), by stage",
+     SECONDS_BUCKETS, False),
     # ---- live drift monitoring (repro.serve.drift) ----
     ("serve_drift_psi", "gauge",
      "per-window population stability index vs the training-time "

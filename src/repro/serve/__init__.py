@@ -5,8 +5,10 @@ long-running daemon assembled from the robustness layer's parts:
 
 * :mod:`repro.serve.ingest` — quarantine gate + bounded queue with
   explicit backpressure and load shedding;
-* :mod:`repro.serve.state` — per-drive incremental feature state over
-  dual (full / reduced) :class:`~repro.core.client.ClientPredictor`\\ s;
+* :mod:`repro.serve.state` — one per-drive incremental feature state
+  shared by the full and reduced
+  :class:`~repro.core.client.ClientPredictor`\\ s (the reduced route is
+  a column gather of the full row);
 * :mod:`repro.serve.retry` — jittered backoff, per-stage timeout
   budgets, and the degraded-mode circuit breaker;
 * :mod:`repro.serve.alarms` — exactly-once alarm ledger and sink;

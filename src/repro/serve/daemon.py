@@ -1,16 +1,24 @@
 """The `repro serve` daemon: the batch monitor as a supervised stream.
 
-Data path (one reading)::
+Data path::
 
     submit() ──▶ BoundedReadingQueue          (backpressure, shedding)
-    pump()   ──▶ ReadingGate.admit            (quarantine / repair)
-             ──▶ DimensionFreshness.observe   (staleness watch)
-             ──▶ IncrementalScorer.stage      (ring-buffer feature state)
+    pump()   ──▶ per reading:
+                   ReadingGate.admit          (quarantine / repair)
+                   DimensionFreshness.observe (staleness watch)
+             ──▶ per run of readings between window boundaries:
+                   IncrementalScorer.stage    (one batch into the shared
+                                               per-drive feature state)
              ──▶ window flush at each boundary:
-                   score staged rows in batches under RetryPolicy,
-                   route full ▸ reduced on stale dimensions or an OPEN
-                   circuit breaker, decide alarms (dedup + rate budget),
+                   score the staged row matrix in batches under
+                   RetryPolicy, route full ▸ reduced (a column gather of
+                   the same rows) on stale dimensions or an OPEN circuit
+                   breaker, decide alarms (dedup + rate budget),
                    checkpoint, then emit committed alarms to the sink.
+
+Each stage's time is observed once per pump or flush in the
+``serve_stage_seconds{stage=gate|assemble|score|decide|checkpoint}``
+histogram.
 
 Crash-resume replays *only unacknowledged input*: the checkpoint's
 ``watermark`` is the end of the last flushed window, every admitted
@@ -71,14 +79,42 @@ SERVE_FILES = ("model.pkl", "state.json")
 
 
 def _predict_rows_task(
-    predictor: SharedPayload, X: np.ndarray
+    scorer: SharedPayload, X: np.ndarray, reduced: bool
 ) -> np.ndarray:
     """Worker task: score one chunk of a staged batch.
 
-    ``predict_matrix`` only reads the fitted model (never the ring
-    buffers), so the fork-shared predictor needs no synchronization.
+    Prediction only reads the fitted models (never the drive state), so
+    the fork-shared scorer needs no synchronization.
     """
-    return predictor.get().predict_matrix(X)
+    scorer = scorer.get()
+    return (scorer.predict_reduced if reduced else scorer.predict_full)(X)
+
+
+class _StagedRows:
+    """The open window's staged readings as columnar buffers.
+
+    One chunk per stage call — serials, days, daemon-clock staging times
+    (for ingest→alarm latency) and assembled rows — concatenated when
+    the window flushes.
+    """
+
+    def __init__(self):
+        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, serials, days, staged_at, rows) -> None:
+        self._chunks.append((serials, days, staged_at, rows))
+        self._n += len(serials)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(serials, days, staged_at, rows)`` over the whole window."""
+        if not self._chunks:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0), np.empty((0, 0))
+        return tuple(np.concatenate(column) for column in zip(*self._chunks))
 
 
 @dataclass(frozen=True)
@@ -144,7 +180,11 @@ class ServeDaemon:
             sink_path=sink_path,
             max_per_window=self.config.max_alarms_per_window,
         )
-        self.gate = ReadingGate(self.config.gate, is_alarmed=self.alarms.is_alarmed)
+        self.gate = ReadingGate(
+            self.config.gate,
+            is_alarmed=self.alarms.is_alarmed,
+            firmware_vocabulary=scorer.full.firmware_vocabulary,
+        )
         self.queue = BoundedReadingQueue(
             self.config.queue_capacity, is_alarmed=self.alarms.is_alarmed
         )
@@ -162,11 +202,7 @@ class ServeDaemon:
         #: in every checkpoint so ``resume`` can refuse a state written
         #: by a different model.
         self.model_hash = model_hash
-        #: (serial, day, full_row, reduced_row, staged_at) — staged_at is
-        #: the daemon clock at staging, for ingest→alarm latency.
-        self._staged: list[
-            tuple[int, int, np.ndarray, np.ndarray | None, float]
-        ] = []
+        self._staged = _StagedRows()
         self._e2e_latencies: list[float] = []
         self._clock = clock
         self._sleep = sleep
@@ -353,8 +389,9 @@ class ServeDaemon:
         """One supervised tick: drain, stage, flush due windows."""
         started = self._clock()
         with trace_span("serve.pump"):
-            for serial, day, reading in self.queue.drain():
-                self._process(serial, day, reading)
+            items = self.queue.drain()
+            if items:
+                self._process(items)
         self.breaker.tick()
         inc_counter("serve_ticks_total")
         self._last_tick = self._clock()
@@ -375,77 +412,101 @@ class ServeDaemon:
             self._flush_window()
         return self.summary()
 
-    def _process(self, serial, day, reading) -> None:
-        try:
-            numeric_day = int(day)
-        except (TypeError, ValueError):
-            self.gate.note_quarantine(serial, "malformed")
-            return
-        # Boundary first: a reading belonging to a later window must not
-        # be admitted before this window's flush commits (the watermark
-        # replay contract depends on it).
-        while numeric_day >= self.window_start + self.config.window_days:
-            self._flush_window()
+    def _process(self, items) -> None:
+        """Gate each reading; stage each run between window boundaries
+        as one batch."""
+        pending: list[tuple[int, int, dict]] = []
+        gate_seconds = assemble_seconds = 0.0
+        started = time.perf_counter()
+        for serial, day, reading in items:
+            try:
+                numeric_day = int(day)
+            except (TypeError, ValueError):
+                self.gate.note_quarantine(serial, "malformed")
+                continue
+            # Boundary first: a reading belonging to a later window must
+            # not be admitted before this window's flush commits (the
+            # watermark replay contract depends on it).
+            if numeric_day >= self.window_start + self.config.window_days:
+                gate_seconds += time.perf_counter() - started
+                assemble_seconds += self._stage(pending)
+                pending = []
+                while numeric_day >= self.window_start + self.config.window_days:
+                    self._flush_window()
+                started = time.perf_counter()
+            clean = self.gate.admit(serial, numeric_day, reading)
+            if clean is None:
+                continue
+            self.freshness.observe(clean)
+            pending.append((int(serial), numeric_day, clean))
+        gate_seconds += time.perf_counter() - started
+        assemble_seconds += self._stage(pending)
+        observe_histogram("serve_stage_seconds", gate_seconds, stage="gate")
+        observe_histogram("serve_stage_seconds", assemble_seconds, stage="assemble")
 
-        clean = self.gate.admit(serial, numeric_day, reading)
-        if clean is None:
-            return
-        self.freshness.observe(clean)
-        try:
-            full_row, reduced_row = self.scorer.stage(
-                int(serial), numeric_day, clean
-            )
-        except (ValueError, KeyError) as error:
-            # e.g. a firmware string the training encoder never saw
-            self.gate.note_quarantine(serial, "assembly_error")
+    def _stage(self, pending: list[tuple[int, int, dict]]) -> float:
+        """Stage admitted readings in one scorer call; return its seconds."""
+        if not pending:
+            return 0.0
+        started = time.perf_counter()
+        serials, days, readings = zip(*pending)
+        rows, rejections = self.scorer.stage(serials, days, readings)
+        accepted = np.ones(len(pending), dtype=bool)
+        for position, error in rejections.items():
+            # the gate validates firmware labels first, so this is a
+            # backstop for whatever else the assembly rejects
+            accepted[position] = False
+            self.gate.note_quarantine(serials[position], "assembly_error")
             _LOG.warning(
-                "assembly failed", serial=serial, day=numeric_day,
-                error=repr(error),
+                "assembly failed", serial=serials[position],
+                day=days[position], error=repr(error),
             )
-            return
-        if numeric_day >= self.config.serve_start_day:
+        serials = np.asarray(serials, dtype=np.int64)[accepted]
+        days = np.asarray(days, dtype=np.int64)[accepted]
+        live = days >= self.config.serve_start_day
+        if live.any():
             self._staged.append(
-                (int(serial), numeric_day, full_row, reduced_row, self._clock())
+                serials[live], days[live],
+                np.full(int(live.sum()), self._clock()), rows[live],
             )
+        return time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Window flush
     # ------------------------------------------------------------------
-    def _score_staged(self, degraded_route: bool) -> tuple[np.ndarray, bool]:
+    def _score_staged(
+        self, rows: np.ndarray, degraded_route: bool
+    ) -> tuple[np.ndarray, bool]:
         """Batched probabilities for the staged rows; returns the
         probabilities plus the route actually used (a full-route failure
         falls back to the reduced model mid-window).
 
         With ``config.n_jobs > 1`` each batch's rows are chunked over
-        the persistent worker pool; the predictor travels by fork
+        the persistent worker pool; the scorer travels by fork
         inheritance and per-row independence keeps the concatenated
         probabilities identical to the serial pass. Retries and the
         circuit breaker wrap the whole parallel call, so failure
         semantics are unchanged.
         """
-        column = 3 if degraded_route and self.scorer.has_reduced else 2
+        reduced = degraded_route and self.scorer.has_reduced
         predict = (
-            self.scorer.predict_reduced
-            if column == 3
-            else self.scorer.predict_full
+            self.scorer.predict_reduced if reduced else self.scorer.predict_full
         )
         executor = ParallelExecutor(getattr(self.config, "n_jobs", 1))
         if executor.is_parallel:
-            predictor = self.scorer.reduced if column == 3 else self.scorer.full
 
-            def predict(X, _predictor=predictor, _executor=executor):
+            def predict(X, _executor=executor):
                 chunks = np.array_split(X, _executor.n_jobs)
-                with share(_predictor, name="serve_predictor") as handle:
+                with share(self.scorer, name="serve_scorer") as handle:
                     parts = _executor.starmap(
                         _predict_rows_task,
-                        [(handle, chunk) for chunk in chunks if len(chunk)],
+                        [(handle, chunk, reduced) for chunk in chunks if len(chunk)],
                     )
                 return np.concatenate(parts)
-        stage = "score_reduced" if column == 3 else "score_full"
+        stage = "score_reduced" if reduced else "score_full"
         probabilities: list[np.ndarray] = []
-        for offset in range(0, len(self._staged), self.config.batch_size):
-            batch = self._staged[offset : offset + self.config.batch_size]
-            X = np.stack([entry[column] for entry in batch])
+        for offset in range(0, len(rows), self.config.batch_size):
+            X = rows[offset : offset + self.config.batch_size]
             try:
                 chunk = retry_call(
                     lambda: predict(X),
@@ -457,19 +518,19 @@ class ServeDaemon:
                 )
             except Exception:
                 self.breaker.record_failure()
-                if column == 2 and self.scorer.has_reduced:
+                if not reduced and self.scorer.has_reduced:
                     _LOG.error(
                         "full-model scoring exhausted retries; "
                         "falling back to reduced model for this window"
                     )
-                    return self._score_staged(degraded_route=True)
+                    return self._score_staged(rows, degraded_route=True)
                 raise
             self.breaker.record_success()
             probabilities.append(np.asarray(chunk, dtype=float))
             inc_counter("serve_batches_scored_total")
         if probabilities:
-            return np.concatenate(probabilities), column == 3
-        return np.empty(0), column == 3
+            return np.concatenate(probabilities), reduced
+        return np.empty(0), reduced
 
     def _set_degraded(self, degraded: bool, reasons: tuple[str, ...]) -> None:
         if degraded and not self.degraded:
@@ -488,7 +549,10 @@ class ServeDaemon:
             want_degraded = bool(stale) or (
                 self.scorer.has_reduced and self.breaker.is_open
             )
-            probabilities, used_reduced = self._score_staged(want_degraded)
+            serials, days, staged_at, rows = self._staged.arrays()
+            started = time.perf_counter()
+            probabilities, used_reduced = self._score_staged(rows, want_degraded)
+            scored = time.perf_counter()
             reasons = tuple(
                 (*(f"stale:{name}" for name in (stale or ())),
                  *(("breaker_open",) if self.breaker.is_open else ()),
@@ -499,14 +563,14 @@ class ServeDaemon:
 
             if (
                 self.drift is not None
-                and self._staged
-                and len(probabilities) == len(self._staged)
+                and len(rows)
+                and len(probabilities) == len(rows)
             ):
-                # Current-day feature block of the *full* rows: the
-                # trailing columns (earlier blocks are history lags).
-                current = np.stack(
-                    [entry[2] for entry in self._staged]
-                )[:, -self.drift.n_columns:]
+                # Current-day feature block of the *full* model's rows:
+                # the trailing columns (earlier blocks are history lags).
+                current = self.scorer.full.model_rows(rows)[
+                    :, -self.drift.n_columns:
+                ]
                 self.drift.observe_window(
                     current, probabilities, window_start=self.window_start
                 )
@@ -514,15 +578,16 @@ class ServeDaemon:
             self.alarms.open_window()
             window_alarms: list[dict] = []
             decided_at = self._clock()
-            for (serial, day, _full, _reduced, staged_at), probability in zip(
-                self._staged, probabilities
+            for serial, day, staged, probability in zip(
+                serials.tolist(), days.tolist(), staged_at.tolist(),
+                probabilities.tolist(),
             ):
                 if self.alarms.decide(
-                    serial, day, float(probability),
+                    serial, day, probability,
                     window_start=self.window_start, degraded=used_reduced,
                 ):
                     window_alarms.append(self.alarms.ledger[-1])
-                    latency = max(0.0, decided_at - staged_at)
+                    latency = max(0.0, decided_at - staged)
                     observe_histogram("serve_e2e_latency_seconds", latency)
                     self._e2e_latencies.append(latency)
 
@@ -530,20 +595,27 @@ class ServeDaemon:
                 {
                     "start_day": self.window_start,
                     "end_day": window_end,
-                    "n_readings_scored": len(self._staged),
+                    "n_readings_scored": len(rows),
                     "degraded": used_reduced,
                     "alarms": window_alarms,
                 }
             )
             inc_counter("serve_windows_scored_total")
-            self._staged = []
+            self._staged = _StagedRows()
             self.window_start = window_end
             self.watermark = window_end
+            decided = time.perf_counter()
             if self.checkpoint_dir is not None:
                 self._checkpoint()
             # Only after the checkpoint committed do alarms reach the
             # sink — a crash in between is repaired by reconcile_sink.
             self.alarms.emit_pending()
+            for stage, seconds in (
+                ("score", scored - started),
+                ("decide", decided - scored),
+                ("checkpoint", time.perf_counter() - decided),
+            ):
+                observe_histogram("serve_stage_seconds", seconds, stage=stage)
         _LOG.info(
             "window flushed",
             start=self.windows[-1]["start_day"],

@@ -4,7 +4,10 @@ The gate is the streaming counterpart of
 :func:`repro.robustness.quarantine.sanitize_dataset` — the same
 violation classes (non-finite values, negative daily event counts,
 decreasing cumulative counters) with the same repair-or-drop policy
-knobs, applied one reading at a time with per-drive audit counters. A
+knobs, applied one reading at a time with per-drive audit counters,
+plus firmware labels the scorer cannot encode. Every check runs before
+the gate commits a drive's day or counter maxima, so a rejected
+reading can be corrected and retried. A
 drive that keeps sending garbage is banned outright after
 ``quarantine_drive_after`` rejected readings.
 
@@ -65,11 +68,21 @@ class ReadingGate:
     when the reading was quarantined or skipped. ``is_alarmed`` is the
     daemon's alarm-ledger membership test: readings for already-alarmed
     drives are skipped (counted, not quarantined — they are expected).
+    ``firmware_vocabulary`` is the set of firmware labels the scorer can
+    encode (``None`` accepts any): a reading carrying another label is
+    quarantined as ``assembly_error`` here, before the gate commits the
+    drive's day or counter maxima, so the corrected reading can retry.
     """
 
-    def __init__(self, policy: GatePolicy | None = None, is_alarmed=None):
+    def __init__(
+        self,
+        policy: GatePolicy | None = None,
+        is_alarmed=None,
+        firmware_vocabulary: frozenset | None = None,
+    ):
         self.policy = policy or GatePolicy()
         self._is_alarmed = is_alarmed or (lambda serial: False)
+        self._firmware_vocabulary = firmware_vocabulary
         self._last_day: dict[int, int] = {}
         self._running_max: dict[int, dict[str, float]] = {}
         self.quarantine_counts: dict[int, int] = {}
@@ -99,7 +112,7 @@ class ReadingGate:
         try:
             serial = int(serial)
             day = int(day)
-            items = dict(reading).items()
+            fields = dict(reading)
         except (TypeError, ValueError):
             self._quarantine(serial, "malformed")
             return None
@@ -116,8 +129,12 @@ class ReadingGate:
             self._quarantine(serial, "stale_day")
             return None
 
+        if not self._known_firmware(fields.get("firmware")):
+            self._quarantine(serial, "assembly_error")
+            return None
+
         clean: dict = {}
-        for key, value in items:
+        for key, value in fields.items():
             if key == "firmware":
                 clean[key] = value
                 continue
@@ -142,7 +159,8 @@ class ReadingGate:
                 value = 0.0
             clean[key] = value
 
-        maxima = self._running_max.setdefault(serial, {})
+        maxima = self._running_max.get(serial, {})
+        raised: dict[str, float] = {}
         for column in _MONOTONE:
             value = clean.get(column)
             if value is None:
@@ -157,11 +175,21 @@ class ReadingGate:
                 )
                 clean[column] = ceiling
             else:
-                maxima[column] = value
+                raised[column] = value
 
+        # ---- validation passed: commit ----
+        self._running_max.setdefault(serial, {}).update(raised)
         self._last_day[serial] = day
         inc_counter("serve_readings_ingested_total")
         return clean
+
+    def _known_firmware(self, label) -> bool:
+        if label is None or self._firmware_vocabulary is None:
+            return True
+        try:
+            return label in self._firmware_vocabulary
+        except TypeError:  # unhashable label
+            return False
 
     # -- checkpointing --------------------------------------------------
     def snapshot(self) -> dict:

@@ -1,13 +1,16 @@
 """Per-drive incremental feature state for the serve loop.
 
-:class:`IncrementalScorer` wraps two
-:class:`~repro.core.client.ClientPredictor` instances — the full-feature
-model and the PR-1 reduced-dimension (default SF) fallback — and feeds
-*every* admitted reading to both, so the daemon can switch routes at any
-window boundary without a state rebuild: both predictors' ring buffers
-and cumulative counters are always current. Staging a reading returns
-the assembled model-input rows; the daemon batches them and calls
-``predict_matrix`` once per batch instead of once per reading.
+:class:`IncrementalScorer` scores through two
+:class:`~repro.core.client.ClientPredictor` models — the full-feature
+model and the PR-1 reduced-dimension (default SF) fallback — over
+**one** per-drive feature state, held by the full predictor. That state
+covers the full model's columns (widened to the union with the reduced
+model's when those are not a subset), so every admitted reading is
+assembled once and the reduced route reads its rows as a column gather
+(``rows[:, reduced_index]``). The daemon can therefore switch routes at
+any window boundary without a state rebuild. Staging a drained batch
+returns its assembled rows in one array; the daemon stacks them and
+calls ``predict_matrix`` once per scoring batch.
 
 :class:`DimensionFreshness` watches for a feature dimension (W, B,
 firmware) going *stale* — absent from ``stale_after`` consecutive
@@ -27,37 +30,30 @@ __all__ = ["DimensionFreshness", "IncrementalScorer"]
 
 
 class IncrementalScorer:
-    """Dual-model streaming scorer with JSON-safe checkpoint state."""
+    """Full/reduced streaming scorer with JSON-safe checkpoint state."""
 
     def __init__(self, full: ClientPredictor, reduced: ClientPredictor | None):
         self.full = full
         self.reduced = reduced
+        #: The reduced model's input positions within a staged row.
+        self.reduced_index = full.cover(reduced) if reduced is not None else None
 
     @property
     def has_reduced(self) -> bool:
         return self.reduced is not None
 
-    def warm(self, serial: int, day: int, reading: dict) -> None:
-        """Commit a pre-horizon reading (state only, no scoring)."""
-        self.stage(serial, day, reading)
-
     def stage(
-        self, serial: int, day: int, reading: dict
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Commit one reading into both models; return their input rows.
+        self, serials, days, readings
+    ) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Commit a batch of readings; return ``(rows, rejections)``.
 
-        Raises whatever :meth:`ClientPredictor.ingest` raises (unseen
-        firmware label, for one) — the full model validates *before*
-        mutating, and the reduced model's inputs are a subset of the
-        full model's, so a raise leaves both predictors untouched.
+        One :meth:`ClientPredictor.ingest` of the shared state: ``rows``
+        holds one row per accepted reading in batch order, and
+        ``rejections`` maps each rejected batch position to its error
+        (an unseen firmware label, for one). A rejected reading leaves
+        its drive untouched.
         """
-        full_row = self.full.ingest(serial, day, reading)
-        reduced_row = (
-            self.reduced.ingest(serial, day, reading)
-            if self.reduced is not None
-            else None
-        )
-        return full_row, reduced_row
+        return self.full.ingest(serials, days, readings)
 
     def predict_full(self, X: np.ndarray) -> np.ndarray:
         return self.full.predict_matrix(X)
@@ -65,19 +61,25 @@ class IncrementalScorer:
     def predict_reduced(self, X: np.ndarray) -> np.ndarray:
         if self.reduced is None:
             raise RuntimeError("no reduced-feature fallback model was fitted")
-        return self.reduced.predict_matrix(X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return self.reduced.predict_matrix(X[:, self.reduced_index])
 
     # -- checkpointing --------------------------------------------------
     def snapshot(self) -> dict:
-        return {
-            "full": self.full.snapshot(),
-            "reduced": self.reduced.snapshot() if self.reduced else None,
-        }
+        # ``reduced`` stays in the layout for checkpoints written when
+        # each model kept its own state; the shared state replaces it.
+        return {"full": self.full.snapshot(), "reduced": None}
 
     def restore(self, snapshot: dict) -> None:
+        """Restore the shared state from the ``full`` block.
+
+        An older checkpoint's ``reduced`` block is ignored: its state is
+        a subset of the ``full`` block's whenever the reduced model's
+        columns are a subset of the full model's. Otherwise the old
+        ``full`` rows are narrower than the shared state and
+        :meth:`ClientPredictor.restore` raises ``ValueError``.
+        """
         self.full.restore(snapshot["full"])
-        if self.reduced is not None and snapshot["reduced"] is not None:
-            self.reduced.restore(snapshot["reduced"])
 
 
 class DimensionFreshness:

@@ -179,3 +179,174 @@ class TestStreamingBehaviour:
         # The paper claims microsecond-level client prediction; our
         # numpy forest clears single-digit milliseconds comfortably.
         assert elapsed < 0.05
+
+
+@pytest.fixture(scope="module")
+def stacked(small_fleet):
+    """A three-step history model that also reads firmware."""
+    model = MFPA(MFPAConfig(
+        feature_columns=(
+            "s2_temperature",
+            "s14_media_errors",
+            "firmware_code",
+            "cum_w161_fs_io_error",
+        ),
+        history_length=3,
+    ))
+    model.fit(small_fleet, train_end_day=240)
+    return model
+
+
+def _random_batches(model, rng, n_drives=6, n_days=12):
+    """Day-ordered readings of a few drives, cut into random batches and
+    damaged at random: dropped columns, dropped firmware, unseen
+    firmware, non-finite values and repeated days."""
+    serials = rng.choice(model.dataset_.serials, size=n_drives, replace=False)
+    queue = sorted(
+        (day, int(serial), reading)
+        for serial in serials
+        for day, reading in _raw_readings(model, int(serial))[:n_days]
+    )
+    stream = []
+    for day, serial, reading in queue:
+        reading = dict(reading)
+        roll = rng.random()
+        if roll < 0.1:
+            del reading["s2_temperature"]
+        elif roll < 0.2:
+            del reading["firmware"]
+        elif roll < 0.25:
+            reading["firmware"] = "NOT_A_FW"
+        elif roll < 0.3:
+            reading["w161_fs_io_error"] = np.nan
+        elif roll < 0.35:
+            reading["s14_media_errors"] = np.inf
+        stream.append((serial, day, reading))
+        if rng.random() < 0.05:
+            stream.append((serial, day, reading))  # duplicate delivery
+    cuts = np.sort(rng.choice(np.arange(1, len(stream)), size=8, replace=False))
+    return [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+
+
+class TestBatchIngest:
+    @pytest.mark.parametrize("model_name", ["fitted", "stacked"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_one_at_a_time(self, request, model_name, seed):
+        model = request.getfixturevalue(model_name)
+        batched = ClientPredictor.from_model(model, on_missing="impute")
+        single = ClientPredictor.from_model(model, on_missing="impute")
+        rng = np.random.default_rng(seed)
+        batches = _random_batches(model, rng)
+        assert any(len({r[0] for r in batch}) < len(batch) for batch in batches)
+        n_rejected = 0
+        for batch in batches:
+            serials, days, readings = zip(*batch)
+            rows, rejections = batched.ingest(serials, days, readings)
+            expected_rows, expected_rejections = [], {}
+            for position, reading in enumerate(batch):
+                row, rejection = single.ingest(*([x] for x in reading))
+                expected_rows.extend(row)
+                if rejection:
+                    expected_rejections[position] = type(rejection[0])
+            assert {k: type(v) for k, v in rejections.items()} == expected_rejections
+            np.testing.assert_array_equal(
+                rows, np.reshape(expected_rows, rows.shape)
+            )
+            assert batched.snapshot() == single.snapshot()
+            n_rejected += len(rejections)
+        assert n_rejected > 0
+
+    def test_rejection_leaves_only_its_own_drive_untouched(self, fitted):
+        predictor = ClientPredictor.from_model(fitted, on_missing="impute")
+        a, b = (int(s) for s in fitted.dataset_.serials[:2])
+        (day0, a0), (day1, a1) = _raw_readings(fitted, a)[:2]
+        (_, b0), (_, b1) = _raw_readings(fitted, b)[:2]
+        predictor.ingest([a, b], [day0, day0], [a0, b0])
+        before = predictor.snapshot()["drives"]
+
+        rows, rejections = predictor.ingest(
+            [a, b], [day1, day1], [{**a1, "firmware": "NOT_A_FW"}, b1]
+        )
+        assert list(rejections) == [0] and len(rows) == 1
+        after = predictor.snapshot()["drives"]
+        assert after[str(a)] == before[str(a)]
+        assert after[str(b)]["last_day"] == day1
+        # the corrected reading is accepted on retry
+        rows, rejections = predictor.ingest([a], [day1], [a1])
+        assert not rejections and len(rows) == 1
+
+    def test_readings_of_one_drive_applied_in_day_order(self, stacked):
+        serial = int(stacked.dataset_.serials[0])
+        readings = _raw_readings(stacked, serial)[:4]
+        ordered = ClientPredictor.from_model(stacked)
+        expected, _ = ordered.ingest(
+            [serial] * 4, [d for d, _ in readings], [r for _, r in readings]
+        )
+        shuffled = ClientPredictor.from_model(stacked)
+        order = [2, 0, 3, 1]
+        rows, rejections = shuffled.ingest(
+            [serial] * 4,
+            [readings[i][0] for i in order],
+            [readings[i][1] for i in order],
+        )
+        assert not rejections
+        np.testing.assert_array_equal(rows, expected[order])
+        assert shuffled.snapshot() == ordered.snapshot()
+
+    def test_pickle_rebuilds_the_column_plan(self, stacked):
+        import pickle
+
+        serial = int(stacked.dataset_.serials[0])
+        readings = _raw_readings(stacked, serial)
+        predictor = ClientPredictor.from_model(stacked)
+        for day, reading in readings[:3]:
+            predictor.observe(serial, day, reading)
+        restored = pickle.loads(pickle.dumps(predictor))
+        assert restored.snapshot() == predictor.snapshot()
+        day, reading = readings[3]
+        assert restored.observe(serial, day, reading) == predictor.observe(
+            serial, day, reading
+        )
+
+
+class TestNonFiniteValues:
+    def test_nan_event_count_does_not_poison_the_counter(self, fitted):
+        """Regression: one NaN daily W count used to make the drive's
+        cumulative counter NaN forever, without flagging degradation."""
+        predictor = ClientPredictor.from_model(fitted, on_missing="impute")
+        serial = int(fitted.dataset_.serials[0])
+        readings = _raw_readings(fitted, serial)[:3]
+        (day0, r0), (day1, r1), (day2, r2) = readings
+        predictor.observe(serial, day0, r0)
+        predictor.observe(serial, day1, {**r1, "w11_controller_error": np.nan})
+        assert predictor.last_prediction_degraded
+        assert "w11_controller_error" in predictor.last_missing_columns
+        predictor.observe(serial, day2, r2)
+        assert not predictor.last_prediction_degraded
+        counter = predictor.snapshot()["drives"][str(serial)]["cumulative_events"][
+            "cum_w11_controller_error"
+        ]
+        assert counter == r0["w11_controller_error"] + r2["w11_controller_error"]
+        assert predictor.n_degraded_predictions(serial) == 1
+
+    def test_nan_raw_value_imputes_last_known(self, fitted):
+        serial = int(fitted.dataset_.serials[0])
+        (day0, r0), (day1, r1) = _raw_readings(fitted, serial)[:2]
+        predictor = ClientPredictor.from_model(fitted, on_missing="impute")
+        predictor.observe(serial, day0, r0)
+        poisoned = predictor.observe(serial, day1, {**r1, "s2_temperature": np.nan})
+        assert predictor.last_missing_columns == ("s2_temperature",)
+        reference = ClientPredictor.from_model(fitted, on_missing="impute")
+        reference.observe(serial, day0, r0)
+        assert poisoned == reference.observe(
+            serial, day1, {**r1, "s2_temperature": r0["s2_temperature"]}
+        )
+
+    def test_strict_mode_rejects_non_finite_values(self, fitted):
+        serial = int(fitted.dataset_.serials[0])
+        day, reading = _raw_readings(fitted, serial)[0]
+        predictor = ClientPredictor.from_model(fitted)
+        for column in ("s2_temperature", "w11_controller_error"):
+            with pytest.raises(ValueError, match="non-finite"):
+                predictor.observe(serial, day, {**reading, column: np.inf})
+        assert predictor.n_tracked_drives == 0

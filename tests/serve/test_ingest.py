@@ -96,6 +96,19 @@ class TestGateRules:
         gate.admit(1, 1, {"s12_power_on_hours": 100.0})
         assert gate.admit(1, 2, {"s12_power_on_hours": 10.0}) is None
 
+    def test_dropped_reset_commits_no_other_maximum(self):
+        """A reading dropped for one counter reset must not raise the
+        running maximum of the counters checked before it."""
+        gate = ReadingGate(GatePolicy(counter_resets="drop"))
+        gate.admit(1, 1, {"s6_data_units_read": 10.0, "s7_data_units_written": 10.0})
+        assert gate.admit(
+            1, 2, {"s6_data_units_read": 20.0, "s7_data_units_written": 5.0}
+        ) is None
+        clean = gate.admit(
+            1, 3, {"s6_data_units_read": 15.0, "s7_data_units_written": 12.0}
+        )
+        assert clean == {"s6_data_units_read": 15.0, "s7_data_units_written": 12.0}
+
     def test_running_max_is_per_drive(self):
         gate = ReadingGate()
         gate.admit(1, 1, {"s12_power_on_hours": 100.0})
@@ -139,6 +152,44 @@ class TestGateRules:
         assert clean is not None
         # and the restored gate still rejects the banned drive
         assert restored.admit(1, 99, GOOD) is None
+
+
+class TestUnseenFirmware:
+    """Regression: an unseen firmware label used to pass the gate, which
+    committed the drive's day and counter maxima before the scorer
+    quarantined the reading as ``assembly_error``."""
+
+    @staticmethod
+    def _assert_validated_before_commit(admit, firmware):
+        bad = {"s12_power_on_hours": 500.0, "firmware": "NOT_A_FW"}
+        fixed = {"s12_power_on_hours": 100.0, "firmware": firmware}
+        following = {"s12_power_on_hours": 101.0, "firmware": firmware}
+        assert admit(1, 5, bad) is None
+        assert (
+            _counter("serve_readings_quarantined_total", rule="assembly_error")
+            == 1.0
+        )
+        # the corrected retry of the same day is not a stale day ...
+        assert admit(1, 5, fixed) == fixed
+        # ... and the rejected 500 never became the counter's maximum
+        assert admit(1, 6, following) == following
+
+    def test_gate_checks_the_vocabulary_before_committing(self):
+        gate = ReadingGate(firmware_vocabulary=frozenset({"FW1"}))
+        self._assert_validated_before_commit(gate.admit, "FW1")
+        assert gate.admit(1, 7, {"firmware": ["unhashable"]}) is None
+        assert gate.admit(1, 8, {"s2_temperature": 40.0}) is not None
+
+    def test_daemon_gate_uses_the_scorer_vocabulary(
+        self, serve_models, serve_config
+    ):
+        from repro.serve import ServeDaemon
+
+        full, reduced = serve_models
+        daemon = ServeDaemon.from_models(full, reduced, serve_config)
+        self._assert_validated_before_commit(
+            daemon.gate.admit, full.firmware_encoder_.classes_[0]
+        )
 
 
 class TestBoundedQueue:

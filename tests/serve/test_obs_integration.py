@@ -202,6 +202,46 @@ class TestLatencyAccounting:
         }
 
 
+class TestStageLatency:
+    STAGES = ("gate", "assemble", "score", "decide", "checkpoint")
+
+    def test_every_stage_on_metrics_and_in_top_after_a_flush(
+        self, serve_models, serve_readings, serve_config, tmp_path
+    ):
+        from repro.obs.top import render_top
+
+        full, reduced = serve_models
+        daemon = ServeDaemon.from_models(
+            full, reduced, serve_config, checkpoint_dir=tmp_path / "ckpt"
+        )
+        _feed(daemon, _subset(serve_readings, 10), stop_day=SERVE_START + WINDOW + 1)
+        assert len(daemon.windows) == 1
+
+        with ObsServer(
+            port=0,
+            status_fn=daemon.status_snapshot,
+            health_fn=daemon.health_snapshot,
+        ) as server:
+            with urllib.request.urlopen(server.url + "/metrics", timeout=5) as response:
+                exposition = response.read().decode()
+            with urllib.request.urlopen(server.url + "/status", timeout=5) as response:
+                status = json.loads(response.read())
+        validate_exposition(exposition)
+        top = render_top(status, daemon.health_snapshot())
+        for stage in self.STAGES:
+            assert f'serve_stage_seconds_count{{stage="{stage}"}}' in exposition
+            assert f"serve_stage_seconds{{stage={stage}}}" in top
+        # one observation per pump (gate, assemble) or flush (the rest)
+        counts = {
+            sample["labels"]["stage"]: sample["count"]
+            for family in get_registry().dump()
+            if family["name"] == "serve_stage_seconds"
+            for sample in family["samples"]
+        }
+        assert counts["score"] == counts["decide"] == counts["checkpoint"] == 1
+        assert counts["gate"] == counts["assemble"] == _counter("serve_ticks_total")
+
+
 class TestMetricsContinuity:
     def test_counters_monotone_across_simulated_kill(
         self, serve_models, serve_readings, serve_config, tmp_path
