@@ -1254,9 +1254,11 @@ def _finish_observability(args: argparse.Namespace, run, status: str) -> None:
             )
             from pathlib import Path
 
+            from repro.robustness.checkpoint import atomic_write
+
             path = Path(metrics_out)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            atomic_write(path, text.encode())
             log.info(f"metrics written to {path}")
         if run is not None:
             manifest_path = run.finalize(get_tracer(), get_registry(), status=status)

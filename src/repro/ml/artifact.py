@@ -10,15 +10,17 @@ integrity-checked form::
       model/…          # MFPA bundles: nested artifact for .model_
       reference_profile.json   # optional drift baseline (PR-9)
       manifest.json    # schema version, kind, params, provenance,
-                       # per-file sha256+size — written LAST
+                       # per-file sha256+size — the commit point
 
-``manifest.json`` is the commit record, exactly like the monitor
-checkpoint (:mod:`repro.robustness.checkpoint`) and the PR-7 shard
-manifest: every payload file is written first via
-:func:`~repro.robustness.checkpoint.atomic_write`, then the manifest
-stamps their hashes.  A crash mid-save leaves files the manifest does
-not vouch for; :func:`load_model` reports that as a typed
-:class:`ArtifactCorruptError` instead of unpickling garbage.
+An artifact is a manifested directory, written and read through the
+shared helpers of :mod:`repro.robustness.checkpoint`:
+:func:`~repro.robustness.checkpoint.commit` stages the payloads,
+writes ``manifest.json`` as the commit point and renames them into
+place, so a crash mid-save leaves either the previous artifact or the
+new one. Loading rolls an interrupted save forward, then checks every
+file against the manifest: truncation, a content-hash mismatch, a
+malformed manifest or an undecodable payload is a typed
+:class:`ArtifactCorruptError` instead of unpickled garbage.
 
 Tree-family models (``DecisionTree*``, ``RandomForest*``,
 ``GradientBoostingClassifier``) are stored natively: per-tree node
@@ -52,9 +54,17 @@ from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _Tree
 from repro.obs import inc_counter
 from repro.obs.manifest import config_hash, dataset_fingerprint
-from repro.robustness.checkpoint import _sha256_file, atomic_write
+from repro.robustness.checkpoint import (
+    MANIFEST_FILE,
+    check_files,
+    commit,
+    load_payload,
+    read_manifest,
+    roll_forward,
+)
 
 __all__ = [
+    "MANIFEST_FILE",
     "ArtifactCorruptError",
     "ArtifactMismatchError",
     "SCHEMA_VERSION",
@@ -65,7 +75,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-MANIFEST_FILE = "manifest.json"
 _NPZ_FILE = "model.npz"
 _PKL_FILE = "model.pkl"
 _PIPELINE_FILE = "pipeline.pkl"
@@ -229,8 +238,8 @@ def _member_seeds(model) -> np.ndarray:
     return np.array([tree.seed for tree in model.trees_], dtype=np.int64)
 
 
-def _save_tree_family(model, kind: str, path: Path) -> dict:
-    """Write model.npz; returns manifest metadata."""
+def _save_tree_family(model, kind: str) -> bytes:
+    """The model.npz payload."""
     if kind.startswith("decision_tree"):
         packed = _pack_trees([model.tree_])
     else:
@@ -240,8 +249,7 @@ def _save_tree_family(model, kind: str, path: Path) -> dict:
     packed.update(_bin_edges_arrays(getattr(model, "bin_edges_", None)))
     buffer = io.BytesIO()
     np.savez(buffer, **packed)
-    atomic_write(path / _NPZ_FILE, buffer.getvalue())
-    return {"format": "npz", "files": [_NPZ_FILE]}
+    return buffer.getvalue()
 
 
 def _member_params(params: dict) -> dict:
@@ -349,38 +357,33 @@ def save_model(model, directory: str | Path, *, dataset=None,
     serve-side drift monitoring.
     """
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
+    header: dict = {}
+    params: dict = {}
     if _is_mfpa(model):
-        meta = _save_mfpa(model, path)
-        params: dict = {}
+        payloads, nested_hash = _save_mfpa(model, path)
+        header["model_artifact_hash"] = nested_hash
+        kind = fmt = "mfpa"
         hashed = config_hash(model.config)
-        class_name = type(model).__name__
         if dataset is None:
             dataset = getattr(model, "dataset_", None)
     elif type(model) in _KIND_OF:
-        kind = _KIND_OF[type(model)]
+        kind, fmt = _KIND_OF[type(model)], "npz"
         params = _init_params(model)
-        meta = _save_tree_family(model, kind, path)
-        meta["kind"] = kind
+        payloads = {_NPZ_FILE: _save_tree_family(model, kind)}
         hashed = config_hash(model)
-        class_name = type(model).__name__
     else:
-        atomic_write(path / _PKL_FILE, pickle.dumps(model))
-        meta = {"format": "pickle", "files": [_PKL_FILE], "kind": "pickle"}
-        params = {}
+        kind = fmt = "pickle"
+        payloads = {_PKL_FILE: pickle.dumps(model)}
         hashed = config_hash(model) if hasattr(model, "get_params") else None
-        class_name = type(model).__name__
     if reference_profile is not None:
-        atomic_write(
-            path / _PROFILE_FILE,
-            json.dumps(reference_profile.to_json(), sort_keys=True).encode(),
-        )
-        meta["files"] = [*meta["files"], _PROFILE_FILE]
-    manifest = {
+        payloads[_PROFILE_FILE] = json.dumps(
+            reference_profile.to_json(), sort_keys=True
+        ).encode()
+    header.update({
         "schema_version": SCHEMA_VERSION,
-        "kind": meta["kind"],
-        "format": meta["format"],
-        "class": class_name,
+        "kind": kind,
+        "format": fmt,
+        "class": type(model).__name__,
         "params": _jsonable_params(params),
         "config_hash": hashed,
         "dataset_fingerprint": (
@@ -388,21 +391,8 @@ def save_model(model, directory: str | Path, *, dataset=None,
         ),
         "bin_edges": _bin_edge_summary(model),
         "created_unix": round(time.time(), 3),
-        "files": {
-            name: {
-                "sha256": _sha256_file(path / name),
-                "size": (path / name).stat().st_size,
-            }
-            for name in meta["files"]
-        },
-    }
-    if "model_artifact_hash" in meta:
-        manifest["model_artifact_hash"] = meta["model_artifact_hash"]
-    # Manifest last — the commit record vouching for every payload file.
-    atomic_write(
-        path / MANIFEST_FILE,
-        json.dumps(manifest, indent=2, sort_keys=True).encode(),
-    )
+    })
+    commit(path, payloads, header)
     inc_counter("model_artifacts_saved_total")
     return path
 
@@ -420,60 +410,25 @@ def _bin_edge_summary(model):
     }
 
 
-def _save_mfpa(pipeline, path: Path) -> dict:
-    """MFPA bundle: pipeline state pickle + nested estimator artifact."""
+def _save_mfpa(pipeline, path: Path) -> tuple[dict[str, bytes], str]:
+    """MFPA bundle: the pipeline state payload, after committing the
+    nested estimator artifact (returned with its hash)."""
     state = dict(pipeline.__dict__)
     # The prepared dataset is rebound at load time (bind_dataset); the
     # estimator goes into its own nested artifact.
     state.pop("dataset_", None)
     state.pop("model_", None)
     state.pop("search_", None)
-    atomic_write(path / _PIPELINE_FILE, pickle.dumps(state))
     nested = save_model(pipeline.model_, path / _MODEL_SUBDIR)
-    return {
-        "format": "mfpa",
-        "kind": "mfpa",
-        "files": [_PIPELINE_FILE],
-        "model_artifact_hash": artifact_hash(nested),
-    }
+    return {_PIPELINE_FILE: pickle.dumps(state)}, artifact_hash(nested)
 
 
-def _read_manifest(path: Path) -> dict:
-    manifest_path = path / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise FileNotFoundError(
-            f"{path} is not a model artifact (no {MANIFEST_FILE})"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as error:
-        raise ArtifactCorruptError(
-            f"artifact manifest {manifest_path} is not valid JSON: {error}"
-        ) from error
-    version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ArtifactCorruptError(
-            f"artifact {path} has schema version {version!r}; "
-            f"this build reads version {SCHEMA_VERSION}"
-        )
-    return manifest
-
-
-def _verify_files(path: Path, manifest: dict) -> None:
-    for name, entry in manifest.get("files", {}).items():
-        target = path / name
-        if not target.exists():
-            raise ArtifactCorruptError(f"artifact file {target} is missing")
-        size = target.stat().st_size
-        if size != entry["size"]:
-            raise ArtifactCorruptError(
-                f"artifact file {target} is truncated or overgrown: "
-                f"{size} bytes on disk, {entry['size']} in manifest"
-            )
-        if _sha256_file(target) != entry["sha256"]:
-            raise ArtifactCorruptError(
-                f"artifact file {target} fails its sha256 content check"
-            )
+def _load_manifest(path: Path) -> dict:
+    """The validated manifest, after finishing an interrupted save."""
+    roll_forward(path)
+    return read_manifest(
+        path, "schema_version", SCHEMA_VERSION, ArtifactCorruptError
+    )
 
 
 def load_model(directory: str | Path):
@@ -488,21 +443,14 @@ def load_model(directory: str | Path):
     saved in.
     """
     path = Path(directory)
-    manifest = _read_manifest(path)
-    _verify_files(path, manifest)
+    manifest = _load_manifest(path)
+    check_files(path, manifest, None, ArtifactCorruptError)
     kind = manifest.get("kind")
     if kind in _TREE_KINDS:
         params = dict(manifest.get("params", {}))
         model = _load_tree_family(kind, params, path)
     elif kind == "pickle":
-        try:
-            with open(path / _PKL_FILE, "rb") as handle:
-                model = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                IndexError, ValueError) as error:
-            raise ArtifactCorruptError(
-                f"artifact payload {path / _PKL_FILE} is undecodable: {error}"
-            ) from error
+        model = load_payload(path / _PKL_FILE, ArtifactCorruptError)
     elif kind == "mfpa":
         model = _load_mfpa(path)
     else:
@@ -516,15 +464,7 @@ def load_model(directory: str | Path):
 def _load_mfpa(path: Path):
     from repro.core.pipeline import MFPA
 
-    try:
-        with open(path / _PIPELINE_FILE, "rb") as handle:
-            state = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, AttributeError,
-            IndexError, ValueError) as error:
-        raise ArtifactCorruptError(
-            f"artifact payload {path / _PIPELINE_FILE} is undecodable: "
-            f"{error}"
-        ) from error
+    state = load_payload(path / _PIPELINE_FILE, ArtifactCorruptError)
     pipeline = MFPA.__new__(MFPA)
     pipeline.__dict__.update(state)
     pipeline.model_ = load_model(path / _MODEL_SUBDIR)
@@ -538,16 +478,16 @@ def load_reference_profile(directory: str | Path):
     path = Path(directory) / _PROFILE_FILE
     if not path.exists():
         return None
-    return ReferenceProfile.from_json(json.loads(path.read_text()))
+    return ReferenceProfile.from_json(load_payload(path, ArtifactCorruptError))
 
 
 def inspect_artifact(directory: str | Path) -> dict:
     """The artifact's manifest plus an integrity verdict (no model
     construction)."""
     path = Path(directory)
-    manifest = _read_manifest(path)
+    manifest = _load_manifest(path)
     try:
-        _verify_files(path, manifest)
+        check_files(path, manifest, None, ArtifactCorruptError)
         manifest["verified"] = True
     except ArtifactCorruptError as error:
         manifest["verified"] = False
@@ -565,12 +505,5 @@ def artifact_hash(directory: str | Path) -> str:
     loudly (:class:`ArtifactMismatchError`) instead of silently mixing
     score histories.
     """
-    manifest_path = Path(directory) / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise FileNotFoundError(
-            f"{directory} is not a model artifact (no {MANIFEST_FILE})"
-        )
-    payload = json.dumps(
-        json.loads(manifest_path.read_text()), sort_keys=True
-    )
+    payload = json.dumps(_load_manifest(Path(directory)), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -177,13 +177,17 @@ class RunContext:
     def finalize(self, tracer, registry, status: str = "ok") -> Path:
         """Write ``<run_dir>/manifest.json`` (plus the Prometheus text
         snapshot) atomically and return the manifest path."""
+        from repro.robustness.checkpoint import atomic_write
+
         manifest = self.build(tracer, registry, status=status)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         path = self.run_dir / "manifest.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        (self.run_dir / "metrics.prom").write_text(registry.to_prometheus())
+        atomic_write(
+            path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+        )
+        atomic_write(
+            self.run_dir / "metrics.prom", registry.to_prometheus().encode()
+        )
         return path
 
 

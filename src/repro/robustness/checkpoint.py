@@ -13,26 +13,25 @@ run as if it had never stopped:
   deterministic but strictly slower; pickling guarantees bit-identical
   probabilities either way.
 
-Durability contract:
+This module is the one implementation of a *manifested directory*,
+shared by these checkpoints, the serve and sharded-monitor checkpoints,
+model artifacts (:mod:`repro.ml.artifact`) and the shard store
+(:mod:`repro.scale.store`); callers differ only in their manifest
+header keys and their typed error class. The contract:
 
-* every file write is atomic (temp file + ``os.replace``) **and**
-  durable — the temp file is fsynced before the rename and the
-  directory after it, so a committed checkpoint survives power loss,
-  not just process crash;
-* ``manifest.json``, written last, records the sha256 and size of every
-  checkpoint file — it is the commit record. A checkpoint whose files
-  do not match their manifest (truncated ``model.pkl``, crash while
-  overwriting) fails :func:`verify_manifest` with a typed
-  :class:`CheckpointCorruptError` instead of an opaque ``pickle.load``
-  traceback;
-* a *half pair* (one of ``state.json``/``model.pkl`` present without
-  the other — a crash between the two writes) is reported by
-  :func:`has_checkpoint` as "no usable checkpoint" and its stray files
-  are cleaned up so the caller restarts from scratch.
-
-The same primitives (:func:`atomic_write`, :func:`write_manifest`,
-:func:`verify_manifest`, :func:`has_checkpoint_files`) back the serve
-daemon's checkpoints in :mod:`repro.serve.daemon`.
+* every write is atomic and durable (:func:`atomic_write`: fsynced
+  temp file, ``os.replace``, fsynced directory);
+* :func:`commit` writes each payload to ``<name>.pending``, then
+  ``manifest.json`` (sha256 + size per file: the commit point), then
+  renames the pending files into place; :func:`roll_forward`, run
+  first by every reader, renames a pending file the manifest vouches
+  for and deletes any other — a crash anywhere leaves the old
+  checkpoint or the new one;
+* a file that fails its manifest, a malformed manifest or an
+  undecodable payload raises the caller's typed error
+  (:class:`CheckpointCorruptError` here) instead of a raw traceback;
+* a *half pair* (some but not all checkpoint files present) is "no
+  usable checkpoint" and is swept so the caller restarts from scratch.
 """
 
 from __future__ import annotations
@@ -41,21 +40,29 @@ import hashlib
 import json
 import os
 import pickle
+from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.deployment import FleetMonitor, MonitoringWindow
-
-from repro.telemetry.dataset import TelemetryDataset
+    from repro.telemetry.dataset import TelemetryDataset
 
 CHECKPOINT_VERSION = 1
 MANIFEST_VERSION = 1
 _STATE_FILE = "state.json"
 _MODEL_FILE = "model.pkl"
-_MANIFEST_FILE = "manifest.json"
+MANIFEST_FILE = "manifest.json"
+#: Suffix of a payload written but not yet renamed into place.
+PENDING_SUFFIX = ".pending"
 #: The file pair a FleetMonitor checkpoint consists of.
 MONITOR_FILES = (_MODEL_FILE, _STATE_FILE)
+
+#: Everything a truncated or garbled pickle/JSON payload can raise.
+_DECODE_ERRORS = (
+    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+    IndexError, TypeError, ValueError,
+)
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -91,11 +98,8 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     _fsync_path(path.parent)
 
 
-# Backwards-compatible private alias (pre-manifest callers).
-_atomic_write = atomic_write
-
-
-def _sha256_file(path: Path) -> str:
+def file_sha256(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes, read in 1 MiB chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -103,70 +107,171 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(directory: str | Path, filenames: Iterable[str]) -> Path:
-    """Write the sha256 content manifest — the checkpoint commit record.
+def check_file(path: Path, size: int, sha256: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``path`` exists with this size and sha256."""
+    if not path.is_file():
+        raise error(f"file {path} is missing")
+    actual = path.stat().st_size
+    if actual != size:
+        raise error(
+            f"file {path} is truncated or overgrown: "
+            f"{actual} bytes on disk, {size} in manifest"
+        )
+    if file_sha256(path) != sha256:
+        raise error(f"file {path} fails its sha256 content check")
 
-    Must be called *after* every listed file is in place; a checkpoint
-    without a matching manifest is treated as legacy (pre-manifest) by
-    :func:`verify_manifest` and as uncommitted by the serve daemon.
-    """
+
+def _pending(path: Path, name: str) -> Path:
+    return path / (name + PENDING_SUFFIX)
+
+
+def write_manifest(
+    directory: str | Path,
+    filenames: Iterable[str],
+    header: Mapping[str, Any] | None = None,
+) -> Path:
+    """Write ``manifest.json``: ``header`` (default: the checkpoint's
+    ``{"version": 1}``) plus the sha256 and size of every listed file as
+    it will be once committed — its ``.pending`` copy when one waits."""
     path = Path(directory)
+    files = {}
+    for name in filenames:
+        target = _pending(path, name)
+        if not target.exists():
+            target = path / name
+        files[name] = {"sha256": file_sha256(target), "size": target.stat().st_size}
     manifest = {
-        "version": MANIFEST_VERSION,
-        "files": {
-            name: {
-                "sha256": _sha256_file(path / name),
-                "size": (path / name).stat().st_size,
-            }
-            for name in filenames
-        },
+        **(header if header is not None else {"version": MANIFEST_VERSION}),
+        "files": files,
     }
-    target = path / _MANIFEST_FILE
-    atomic_write(target, json.dumps(manifest, sort_keys=True).encode())
+    target = path / MANIFEST_FILE
+    atomic_write(target, json.dumps(manifest, indent=2, sort_keys=True).encode())
     return target
+
+
+def read_manifest(
+    directory: str | Path, version_key: str, version: int, error: type[Exception]
+) -> dict:
+    """Parse ``<directory>/manifest.json``; ``FileNotFoundError`` when
+    absent, ``error`` unless it is a JSON object with ``version_key`` ==
+    ``version`` and a ``files`` block (if any) of ``{sha256, size}``."""
+    path = Path(directory) / MANIFEST_FILE
+    if not path.is_file():
+        raise FileNotFoundError(f"no {MANIFEST_FILE} in {path.parent}")
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as err:
+        raise error(f"manifest {path} is not valid JSON: {err}") from err
+    if not isinstance(manifest, dict):
+        raise error(f"manifest {path} is not a JSON object")
+    found = manifest.get(version_key)
+    if found != version:
+        raise error(
+            f"manifest {path} has {version_key} {found!r}; "
+            f"this build reads {version_key} {version}"
+        )
+    files = manifest.get("files", {})
+    if not isinstance(files, dict) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("size"), int)
+        and isinstance(entry.get("sha256"), str)
+        for entry in files.values()
+    ):
+        raise error(
+            f"manifest {path} has a malformed files block "
+            "(want name -> {sha256, size})"
+        )
+    return manifest
+
+
+def check_files(
+    directory: str | Path,
+    manifest: Mapping,
+    filenames: Iterable[str] | None,
+    error: type[Exception],
+) -> None:
+    """:func:`check_file` each listed file (default: all) against its
+    entry in a :func:`read_manifest` result."""
+    path = Path(directory)
+    files = manifest.get("files", {})
+    for name in filenames if filenames is not None else sorted(files):
+        entry = files.get(name)
+        if entry is None:
+            raise error(f"file {name!r} has no manifest entry in {path}")
+        check_file(path / name, entry["size"], entry["sha256"], error)
+
+
+def load_payload(path: Path, error: type[Exception]) -> Any:
+    """Decode a ``.json`` payload with json and any other with pickle,
+    raising ``error`` when the bytes are undecodable."""
+    kind = "JSON" if path.suffix == ".json" else "pickle"
+    try:
+        if kind == "JSON":
+            return json.loads(path.read_bytes())
+        with open(path, "rb") as handle:
+            return pickle.load(handle)
+    except _DECODE_ERRORS as err:
+        raise error(f"{path} is not a valid {kind} payload: {err}") from err
+
+
+def commit(
+    directory: str | Path,
+    payloads: Mapping[str, bytes | None],
+    header: Mapping[str, Any] | None = None,
+) -> Path:
+    """Commit ``payloads`` (file name → bytes, or ``None`` to keep the
+    committed file) into ``directory``: pending writes, the manifest,
+    the renames. A crash before the manifest leaves the previous commit
+    intact; :func:`roll_forward` finishes one after it."""
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    written = [name for name, data in payloads.items() if data is not None]
+    for name, data in payloads.items():
+        if data is None:
+            _pending(path, name).unlink(missing_ok=True)
+        else:
+            atomic_write(_pending(path, name), data)
+    write_manifest(path, payloads, header)
+    for name in written:
+        os.replace(_pending(path, name), path / name)
+    _fsync_path(path)
+    return path
+
+
+def roll_forward(directory: str | Path) -> None:
+    """Finish an interrupted :func:`commit`: rename each ``.pending``
+    file its manifest entry vouches for into place, delete the rest."""
+    path = Path(directory)
+    pending = sorted(path.glob("*" + PENDING_SUFFIX))
+    if not pending:
+        return
+    try:
+        files = dict(json.loads((path / MANIFEST_FILE).read_bytes())["files"])
+    except (OSError, ValueError, KeyError, TypeError):
+        files = {}
+    for staged in pending:
+        name = staged.name[: -len(PENDING_SUFFIX)]
+        entry = files.get(name)
+        try:
+            check_file(staged, entry["size"], entry["sha256"], CheckpointCorruptError)
+        except (CheckpointCorruptError, KeyError, TypeError):
+            staged.unlink()
+        else:
+            os.replace(staged, path / name)
+    _fsync_path(path)
 
 
 def verify_manifest(
     directory: str | Path, filenames: Iterable[str] | None = None
 ) -> bool:
-    """Check every checkpoint file against its manifest entry.
-
-    Returns ``True`` when verified, ``False`` for a legacy checkpoint
-    with no manifest at all. Raises :class:`CheckpointCorruptError` on
-    an unreadable manifest, a missing file, a size mismatch
-    (truncation) or a content-hash mismatch.
-    """
+    """Check checkpoint files against the manifest: ``True`` when
+    verified, ``False`` for a legacy checkpoint without one; raises
+    :class:`CheckpointCorruptError` on any mismatch."""
     path = Path(directory)
-    manifest_path = path / _MANIFEST_FILE
-    if not manifest_path.exists():
+    if not (path / MANIFEST_FILE).exists():
         return False
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        files = dict(manifest["files"])
-    except (ValueError, KeyError, TypeError) as error:
-        raise CheckpointCorruptError(
-            f"unreadable checkpoint manifest {manifest_path}: {error}"
-        ) from error
-    names = tuple(filenames) if filenames is not None else tuple(sorted(files))
-    for name in names:
-        entry = files.get(name)
-        if entry is None:
-            raise CheckpointCorruptError(
-                f"checkpoint file {name!r} has no manifest entry in {path}"
-            )
-        target = path / name
-        if not target.exists():
-            raise CheckpointCorruptError(f"checkpoint file {target} is missing")
-        size = target.stat().st_size
-        if size != entry["size"]:
-            raise CheckpointCorruptError(
-                f"checkpoint file {target} is truncated or overgrown: "
-                f"{size} bytes on disk, {entry['size']} in manifest"
-            )
-        if _sha256_file(target) != entry["sha256"]:
-            raise CheckpointCorruptError(
-                f"checkpoint file {target} fails its sha256 content check"
-            )
+    manifest = read_manifest(path, "version", MANIFEST_VERSION, CheckpointCorruptError)
+    check_files(path, manifest, filenames, CheckpointCorruptError)
     return True
 
 
@@ -175,29 +280,25 @@ def discard_partial_checkpoint(
 ) -> None:
     """Remove the leftovers of a half-written checkpoint."""
     path = Path(directory)
-    for name in (*filenames, _MANIFEST_FILE):
-        try:
-            (path / name).unlink()
-        except FileNotFoundError:
-            pass
+    for name in filenames:
+        (path / name).unlink(missing_ok=True)
+        _pending(path, name).unlink(missing_ok=True)
+    (path / MANIFEST_FILE).unlink(missing_ok=True)
 
 
 def has_checkpoint_files(
     directory: str | Path, filenames: Iterable[str] = MONITOR_FILES
 ) -> bool:
-    """Whether ``directory`` holds a *usable* (complete) checkpoint.
-
-    A half pair — some but not all of ``filenames`` present, the
-    signature of a crash between the per-file atomic writes — can never
-    be restored, so it is cleaned up here and reported as "no usable
-    checkpoint" rather than left to crash the loader.
-    """
+    """Whether ``directory`` holds a complete checkpoint, after rolling
+    an interrupted commit forward. A half pair can never be restored,
+    so it is swept and reported as "no usable checkpoint"."""
     path = Path(directory)
+    roll_forward(path)
     names = tuple(filenames)
     present = [name for name in names if (path / name).exists()]
     if len(present) == len(names):
         return True
-    if present or (path / _MANIFEST_FILE).exists():
+    if present or (path / MANIFEST_FILE).exists():
         discard_partial_checkpoint(path, names)
     return False
 
@@ -207,6 +308,20 @@ def has_checkpoint(directory: str | Path) -> bool:
     return has_checkpoint_files(directory, MONITOR_FILES)
 
 
+def read_checkpoint(
+    directory: str | Path, filenames: Iterable[str]
+) -> dict[str, Any] | None:
+    """The verified, decoded payloads (file name → object) of the
+    checkpoint in ``directory``, or ``None`` when there is no usable
+    one. A legacy checkpoint without a manifest loads unverified."""
+    path = Path(directory)
+    names = tuple(filenames)
+    if not has_checkpoint_files(path, names):
+        return None
+    verify_manifest(path, names)
+    return {name: load_payload(path / name, CheckpointCorruptError) for name in names}
+
+
 def save_checkpoint(
     monitor: "FleetMonitor",
     windows: list["MonitoringWindow"],
@@ -214,51 +329,30 @@ def save_checkpoint(
 ) -> Path:
     """Persist a started monitor and its scored windows."""
     monitor._check_started()
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-
     payload = {
         "config": monitor.config,
         "policy": monitor.policy,
         "model": monitor.model,
     }
-    atomic_write(path / _MODEL_FILE, pickle.dumps(payload))
-
     state = {
         "version": CHECKPOINT_VERSION,
         "alarmed": sorted(monitor._alarmed),
         "last_trained_day": monitor._last_trained_day,
         "failures_at_training": monitor._failures_at_training,
         "alarm_threshold": monitor.alarm_threshold,
-        "windows": [
-            {
-                "start_day": window.start_day,
-                "end_day": window.end_day,
-                "n_drives_scored": window.n_drives_scored,
-                "retrained": window.retrained,
-                "alarms": [
-                    {
-                        "serial": alarm.serial,
-                        "day": alarm.day,
-                        "probability": alarm.probability,
-                    }
-                    for alarm in window.alarms
-                ],
-            }
-            for window in windows
-        ],
+        "windows": [asdict(window) for window in windows],
     }
-    atomic_write(path / _STATE_FILE, json.dumps(state).encode())
-    # Manifest last: it is the commit record — hashes of both files as
-    # they now exist on disk. A crash before this line leaves files the
-    # manifest (old or absent) does not vouch for, which load_checkpoint
-    # reports as CheckpointCorruptError instead of loading garbage.
-    write_manifest(path, MONITOR_FILES)
-    return path
+    return commit(
+        directory,
+        {
+            _MODEL_FILE: pickle.dumps(payload),
+            _STATE_FILE: json.dumps(state).encode(),
+        },
+    )
 
 
 def load_checkpoint(
-    directory: str | Path, dataset: TelemetryDataset
+    directory: str | Path, dataset: "TelemetryDataset"
 ) -> tuple["FleetMonitor", list["MonitoringWindow"]]:
     """Restore a monitor (bound to ``dataset``) and its window history.
 
@@ -269,27 +363,13 @@ def load_checkpoint(
     from repro.core.deployment import Alarm, FleetMonitor, MonitoringWindow
 
     path = Path(directory)
-    if not has_checkpoint(path):
+    payloads = read_checkpoint(path, MONITOR_FILES)
+    if payloads is None:
         raise FileNotFoundError(f"{path} does not contain a monitor checkpoint")
-    verify_manifest(path, MONITOR_FILES)
-
-    try:
-        state = json.loads((path / _STATE_FILE).read_text())
-    except ValueError as error:
-        raise CheckpointCorruptError(
-            f"checkpoint state {path / _STATE_FILE} is not valid JSON: {error}"
-        ) from error
+    payload, state = payloads[_MODEL_FILE], payloads[_STATE_FILE]
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    try:
-        with open(path / _MODEL_FILE, "rb") as handle:
-            payload = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, AttributeError, IndexError) as error:
-        raise CheckpointCorruptError(
-            f"checkpoint model {path / _MODEL_FILE} is undecodable "
-            f"(truncated write?): {error}"
-        ) from error
 
     monitor = FleetMonitor(
         config=payload["config"],
@@ -304,18 +384,7 @@ def load_checkpoint(
 
     windows = [
         MonitoringWindow(
-            start_day=entry["start_day"],
-            end_day=entry["end_day"],
-            alarms=[
-                Alarm(
-                    serial=alarm["serial"],
-                    day=alarm["day"],
-                    probability=alarm["probability"],
-                )
-                for alarm in entry["alarms"]
-            ],
-            n_drives_scored=entry["n_drives_scored"],
-            retrained=entry["retrained"],
+            **{**entry, "alarms": [Alarm(**alarm) for alarm in entry["alarms"]]}
         )
         for entry in state["windows"]
     ]

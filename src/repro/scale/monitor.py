@@ -54,12 +54,7 @@ from repro.parallel import ParallelExecutor, SharedPayload, share
 from repro.scale.memory import MemoryCeiling
 from repro.scale.store import ShardedDataset
 from repro.scale.trainer import fit_sharded, prepare_shard
-from repro.robustness.checkpoint import (
-    atomic_write,
-    has_checkpoint_files,
-    verify_manifest,
-    write_manifest,
-)
+from repro.robustness.checkpoint import commit, read_checkpoint
 from repro.telemetry.dataset import DriveMeta
 
 __all__ = ["GradingView", "SHARD_MONITOR_FILES", "ShardedFleetMonitor"]
@@ -68,6 +63,10 @@ __all__ = ["GradingView", "SHARD_MONITOR_FILES", "ShardedFleetMonitor"]
 #: ``monitor.pkl`` (window models + retrain plan, written once per run)
 #: and ``progress.pkl`` (scored shards so far, rewritten per boundary).
 SHARD_MONITOR_FILES = ("monitor.pkl", "progress.pkl")
+
+
+def _progress(per_shard: list, grading: dict[int, DriveMeta]) -> bytes:
+    return pickle.dumps({"per_shard": per_shard, "grading": grading})
 
 
 class GradingView:
@@ -257,11 +256,11 @@ class ShardedFleetMonitor:
         per-window directory names. Compared to pickling the models
         in-line this drops the prepared dataset from the checkpoint and
         makes every boundary model independently loadable/inspectable
-        with ``repro model inspect``.
+        with ``repro model inspect``. The commit carries an empty
+        ``progress.pkl``, so the first checkpoint is never a half pair.
         """
         from repro.ml.artifact import save_model
 
-        directory.mkdir(parents=True, exist_ok=True)
         model_dirs: list[str] = []
         saved: dict[int, str] = {}
         for index, model in enumerate(models):
@@ -271,12 +270,12 @@ class ShardedFleetMonitor:
                 save_model(model, directory / name)
                 saved[id(model)] = name
             model_dirs.append(name)
-        atomic_write(
-            directory / "monitor.pkl",
-            pickle.dumps(
+        commit(directory, {
+            "monitor.pkl": pickle.dumps(
                 {"params": params, "model_dirs": model_dirs, "plan": plan}
             ),
-        )
+            "progress.pkl": _progress([], {}),
+        })
 
     def _save_progress(
         self,
@@ -284,31 +283,27 @@ class ShardedFleetMonitor:
         per_shard: list,
         grading: dict[int, DriveMeta],
     ) -> None:
-        """Commit scored-shard progress: rewrite ``progress.pkl``, then
-        the manifest (the commit record, covering both files)."""
-        atomic_write(
-            directory / "progress.pkl",
-            pickle.dumps({"per_shard": per_shard, "grading": grading}),
-        )
-        write_manifest(directory, SHARD_MONITOR_FILES)
+        """Commit scored-shard progress: rewrite ``progress.pkl`` and
+        keep ``monitor.pkl``."""
+        commit(directory, {
+            "monitor.pkl": None,
+            "progress.pkl": _progress(per_shard, grading),
+        })
 
     def _load_resume(self, directory: Path, params: dict) -> tuple | None:
         """Restore (models, plan, per_shard, grading) or None if there
         is no usable checkpoint. A checkpoint for a different store or
         run shape is an error, not a silent restart."""
-        if not has_checkpoint_files(directory, SHARD_MONITOR_FILES):
+        payloads = read_checkpoint(directory, SHARD_MONITOR_FILES)
+        if payloads is None:
             return None
-        verify_manifest(directory, SHARD_MONITOR_FILES)
-        with open(directory / "monitor.pkl", "rb") as handle:
-            meta = pickle.load(handle)
+        meta, progress = payloads["monitor.pkl"], payloads["progress.pkl"]
         if meta["params"] != params:
             raise ValueError(
                 "sharded-monitor checkpoint does not match this run: "
                 f"checkpointed {json.dumps(meta['params'], sort_keys=True, default=str)} "
                 f"vs requested {json.dumps(params, sort_keys=True, default=str)}"
             )
-        with open(directory / "progress.pkl", "rb") as handle:
-            progress = pickle.load(handle)
         if "model_dirs" in meta:
             from repro.ml.artifact import load_model
 
@@ -372,7 +367,6 @@ class ShardedFleetMonitor:
                 models, plan = self._window_models(boundaries)
                 if directory is not None:
                     self._save_models(directory, params, models, plan)
-                    self._save_progress(directory, per_shard, grading)
             self.ceiling.check("scale.monitor.models")
 
             stop_at = self.store.n_shards

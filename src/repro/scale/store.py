@@ -23,6 +23,11 @@ vocabulary kept in the manifest — a million-drive shard then never
 serializes a million Python strings, and codes from different shards
 always agree. Decoding on load restores the exact object arrays
 :class:`~repro.telemetry.dataset.TelemetryDataset` uses in RAM.
+
+Hashing, manifest parsing, the format-version check and the per-file
+check of ``load_shard(verify=True)`` are the shared manifested-directory
+helpers of :mod:`repro.robustness.checkpoint`; the shard sha256s live in
+the shard records rather than a ``files`` block.
 """
 
 from __future__ import annotations
@@ -36,7 +41,12 @@ import numpy as np
 
 from repro.obs import inc_counter, observe_histogram, trace_span
 from repro.obs.manifest import dataset_fingerprint
-from repro.robustness.checkpoint import atomic_write
+from repro.robustness.checkpoint import (
+    atomic_write,
+    check_file,
+    file_sha256,
+    read_manifest,
+)
 from repro.telemetry.dataset import DriveMeta, TelemetryDataset
 from repro.telemetry.tickets import TroubleTicket
 
@@ -91,14 +101,6 @@ class ShardInfo:
     @classmethod
     def from_dict(cls, record: dict) -> "ShardInfo":
         return cls(**{name: record[name] for name in cls.__slots__})
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class _Vocab:
@@ -269,7 +271,7 @@ class ShardWriter:
             first_serial=int(serials[0]),
             last_serial=int(serials[-1]),
             n_bytes=path.stat().st_size,
-            sha256=_sha256_file(path),
+            sha256=file_sha256(path),
             fingerprint=dataset_fingerprint(dataset),
         )
         self._shards.append(info)
@@ -316,24 +318,23 @@ class ShardedDataset:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        manifest_path = self.root / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ShardManifestError(f"no shard manifest at {manifest_path}")
-        try:
-            self.manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as error:
+        if not is_shard_store(self.root):
             raise ShardManifestError(
-                f"corrupt shard manifest at {manifest_path}: {error}"
-            ) from error
-        version = self.manifest.get("format_version")
-        if version != _FORMAT_VERSION:
-            raise ShardManifestError(
-                f"unsupported shard format version {version!r}"
+                f"no shard manifest at {self.root / MANIFEST_NAME}"
             )
-        self.shards = [
-            ShardInfo.from_dict(record) for record in self.manifest["shards"]
-        ]
-        self._vocab = _Vocab(self.manifest["vocab"])
+        self.manifest = read_manifest(
+            self.root, "format_version", _FORMAT_VERSION, ShardManifestError
+        )
+        try:
+            self.shards = [
+                ShardInfo.from_dict(record) for record in self.manifest["shards"]
+            ]
+            self._vocab = _Vocab(self.manifest["vocab"])
+        except (KeyError, TypeError, AttributeError) as error:
+            raise ShardManifestError(
+                f"malformed shard manifest at {self.root / MANIFEST_NAME}: "
+                f"{error!r}"
+            ) from error
 
     @property
     def n_shards(self) -> int:
@@ -358,20 +359,15 @@ class ShardedDataset:
     def load_shard(self, index: int, verify: bool = False) -> TelemetryDataset:
         """Load one shard back into an in-RAM :class:`TelemetryDataset`.
 
-        ``verify=True`` re-hashes the file against the manifest sha256
-        before deserializing (reads the shard twice).
+        ``verify=True`` checks the file's size and sha256 against its
+        manifest record before deserializing (reads the shard twice).
         """
         info = self.shards[index]
         path = self.root / info.filename
         if not path.is_file():
             raise ShardManifestError(f"manifest lists missing shard {path}")
         if verify:
-            actual = _sha256_file(path)
-            if actual != info.sha256:
-                raise ShardManifestError(
-                    f"shard {info.filename} sha256 mismatch: "
-                    f"manifest {info.sha256[:12]}…, file {actual[:12]}…"
-                )
+            check_file(path, info.n_bytes, info.sha256, ShardManifestError)
         with trace_span("scale.read_shard"):
             with np.load(path, allow_pickle=False) as archive:
                 arrays = {name: archive[name] for name in archive.files}

@@ -54,13 +54,7 @@ from repro.obs import (
 )
 from repro.parallel import ParallelExecutor, SharedPayload, share
 from repro.scale.memory import update_peak_rss_gauge
-from repro.robustness.checkpoint import (
-    CheckpointCorruptError,
-    atomic_write,
-    has_checkpoint_files,
-    verify_manifest,
-    write_manifest,
-)
+from repro.robustness.checkpoint import commit, read_checkpoint
 from repro.robustness.degraded import fit_reduced_model
 from repro.serve.alarms import AlarmStream
 from repro.serve.drift import DriftMonitor, ReferenceProfile
@@ -297,23 +291,10 @@ class ServeDaemon:
         incompatible alarm streams.
         """
         path = Path(checkpoint_dir)
-        if not has_checkpoint_files(path, SERVE_FILES):
+        payloads = read_checkpoint(path, SERVE_FILES)
+        if payloads is None:
             raise FileNotFoundError(f"{path} does not contain a serve checkpoint")
-        verify_manifest(path, SERVE_FILES)
-        try:
-            with open(path / "model.pkl", "rb") as handle:
-                payload = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError, IndexError) as err:
-            raise CheckpointCorruptError(
-                f"serve checkpoint model {path / 'model.pkl'} is undecodable: {err}"
-            ) from err
-        try:
-            state = json.loads((path / "state.json").read_text())
-        except ValueError as err:
-            raise CheckpointCorruptError(
-                f"serve checkpoint state {path / 'state.json'} "
-                f"is not valid JSON: {err}"
-            ) from err
+        payload, state = payloads["model.pkl"], payloads["state.json"]
         version = state.get("version")
         if version != SERVE_STATE_VERSION:
             raise ValueError(f"unsupported serve checkpoint version {version!r}")
@@ -629,18 +610,17 @@ class ServeDaemon:
     # Checkpointing
     # ------------------------------------------------------------------
     def _checkpoint(self) -> None:
-        path = self.checkpoint_dir
-        path.mkdir(parents=True, exist_ok=True)
+        # model.pkl is written with the first commit; later commits keep
+        # it (None) and rewrite only state.json.
+        model = None
         if not self._model_file_written:
-            payload = {
+            model = pickle.dumps({
                 "version": SERVE_STATE_VERSION,
                 "config": self.config,
                 "full": self.scorer.full,
                 "reduced": self.scorer.reduced,
                 "profile": self.drift.profile if self.drift else None,
-            }
-            atomic_write(path / "model.pkl", pickle.dumps(payload))
-            self._model_file_written = True
+            })
         state = {
             "version": SERVE_STATE_VERSION,
             "window_start": self.window_start,
@@ -658,8 +638,11 @@ class ServeDaemon:
             # monotone across kill -9 (the continuity contract).
             "metrics": get_registry().dump(),
         }
-        atomic_write(path / "state.json", json.dumps(state).encode())
-        write_manifest(path, SERVE_FILES)
+        commit(
+            self.checkpoint_dir,
+            {"model.pkl": model, "state.json": json.dumps(state).encode()},
+        )
+        self._model_file_written = True
         inc_counter("serve_checkpoints_total")
         self._last_checkpoint = self._clock()
 

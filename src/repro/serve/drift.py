@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.drift import psi_against_reference, reference_bins
 from repro.obs import get_logger, inc_counter, set_gauge
+from repro.robustness.checkpoint import atomic_write
 
 __all__ = ["SCORE_FEATURE", "DriftMonitor", "ReferenceProfile"]
 
@@ -230,9 +231,9 @@ class ReferenceProfile:
     def save(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), sort_keys=True) + "\n")
-        tmp.replace(path)
+        atomic_write(
+            path, (json.dumps(self.to_json(), sort_keys=True) + "\n").encode()
+        )
         return path
 
     @classmethod

@@ -26,6 +26,8 @@ FORMAT_VERSION = 1
 
 def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
     """Write a dataset to ``directory`` (created if needed)."""
+    from repro.robustness.checkpoint import atomic_write
+
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
 
@@ -41,7 +43,10 @@ def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
         for name in _STRING_COLUMNS
         if name in dataset.columns
     }
-    (path / "strings.json").write_text(json.dumps({"version": FORMAT_VERSION, **strings}))
+    atomic_write(
+        path / "strings.json",
+        json.dumps({"version": FORMAT_VERSION, **strings}).encode(),
+    )
 
     drives = [
         {
@@ -55,7 +60,7 @@ def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
         }
         for meta in dataset.drives.values()
     ]
-    (path / "drives.json").write_text(json.dumps(drives))
+    atomic_write(path / "drives.json", json.dumps(drives).encode())
 
     tickets = [
         {
@@ -67,7 +72,7 @@ def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
         }
         for ticket in dataset.tickets
     ]
-    (path / "tickets.json").write_text(json.dumps(tickets))
+    atomic_write(path / "tickets.json", json.dumps(tickets).encode())
     return path
 
 

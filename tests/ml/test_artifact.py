@@ -10,6 +10,7 @@ artifact whose bytes, file set, or schema version do not match the
 manifest.
 """
 
+import hashlib
 import json
 import shutil
 
@@ -140,6 +141,41 @@ class TestManifest:
         assert info["artifact_hash"] == artifact_hash(directory)
         assert "model.npz" in info["files"]
 
+    def test_parent_layout_manifest_loads_identically(self, tmp_path):
+        """Artifact manifests are still written in the byte layout they
+        had before the shared commit protocol, and a hand-built one
+        loads to the same model under the same artifact_hash."""
+        X, y = _problem(seed=12)
+        for name, model in (
+            ("npz", RandomForestClassifier(n_estimators=3, max_depth=4, seed=0)
+             .fit(X, y)),
+            ("pickle", {"pickle": "fallback", "weights": [1.0, 2.0]}),
+        ):
+            directory = save_model(model, tmp_path / name)
+            manifest = json.loads((directory / MANIFEST_FILE).read_text())
+            manifest["files"] = {
+                file: {
+                    "sha256": hashlib.sha256(
+                        (directory / file).read_bytes()
+                    ).hexdigest(),
+                    "size": (directory / file).stat().st_size,
+                }
+                for file in manifest["files"]
+            }
+            parent = json.dumps(manifest, indent=2, sort_keys=True).encode()
+            assert (directory / MANIFEST_FILE).read_bytes() == parent
+            (directory / MANIFEST_FILE).write_bytes(parent)
+            assert artifact_hash(directory) == hashlib.sha256(
+                json.dumps(json.loads(parent), sort_keys=True).encode()
+            ).hexdigest()[:16]
+            loaded = load_model(directory)
+            if name == "npz":
+                np.testing.assert_array_equal(
+                    loaded.predict_proba(X), model.predict_proba(X)
+                )
+            else:
+                assert loaded == model
+
     def test_hash_stable_and_content_sensitive(self, tmp_path):
         directory = self._saved(tmp_path)
         assert artifact_hash(directory) == artifact_hash(directory)
@@ -190,9 +226,24 @@ class TestCorruption:
 
     def test_garbled_manifest_refused(self, tmp_path):
         directory = self._saved(tmp_path)
+        manifest = json.loads((directory / MANIFEST_FILE).read_text())
         (directory / MANIFEST_FILE).write_text("{not json")
         with pytest.raises(ArtifactCorruptError):
             load_model(directory)
+        # Valid JSON that is not a well-formed manifest: a list, a list
+        # as the files block, a files entry without its size.
+        files = manifest["files"]
+        sizeless = {
+            name: {"sha256": entry["sha256"]} for name, entry in files.items()
+        }
+        for garbled in (
+            [manifest],
+            {**manifest, "files": list(files)},
+            {**manifest, "files": sizeless},
+        ):
+            (directory / MANIFEST_FILE).write_text(json.dumps(garbled))
+            with pytest.raises(ArtifactCorruptError):
+                load_model(directory)
 
     def test_absent_manifest_is_not_an_artifact(self, tmp_path):
         directory = self._saved(tmp_path)

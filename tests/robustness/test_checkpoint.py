@@ -1,5 +1,7 @@
 """Checkpoint determinism: crash at any window boundary, resume identically."""
 
+import json
+
 import pytest
 
 from repro.core import MFPAConfig
@@ -17,6 +19,8 @@ from repro.robustness.checkpoint import (
     write_manifest,
 )
 from repro.telemetry import FleetConfig, VendorMix, simulate_fleet
+
+from tests.conftest import CommitCrash, write_parent_layout_manifest
 
 START, END, WINDOW = 240, 360, 30
 N_WINDOWS = (END - START) // WINDOW
@@ -73,6 +77,47 @@ class TestResumeDeterminism:
         )
         assert resumed == uninterrupted
 
+    @pytest.mark.parametrize("on_call", [1, 2])
+    @pytest.mark.parametrize(
+        "after_manifest", [False, True], ids=["before-manifest", "after-manifest"]
+    )
+    def test_crash_inside_commit_resumes(
+        self, fleet, uninterrupted, on_call, after_manifest, crash_commit,
+        tmp_path,
+    ):
+        """Kill while the `on_call`-th checkpoint is being committed —
+        payloads staged, manifest not yet written or not yet followed by
+        the renames: resume restarts from the last commit and finishes
+        identically."""
+        checkpoint = tmp_path / "ckpt"
+        crash_commit(checkpoint, on_call, after_manifest)
+        with pytest.raises(CommitCrash):
+            simulate_operation(
+                fleet,
+                policy=POLICY,
+                start_day=START,
+                end_day=END,
+                window_days=WINDOW,
+                checkpoint_dir=str(checkpoint),
+            )
+        assert list(checkpoint.glob("*.pending"))
+        committed = on_call if after_manifest else on_call - 1
+        if committed:
+            assert len(load_checkpoint(checkpoint, fleet)[1]) == committed
+        else:
+            assert not has_checkpoint(checkpoint)
+        assert not list(checkpoint.glob("*.pending"))
+        resumed = simulate_operation(
+            fleet,
+            policy=POLICY,
+            start_day=START,
+            end_day=END,
+            window_days=WINDOW,
+            checkpoint_dir=str(checkpoint),
+            resume=True,
+        )
+        assert resumed == uninterrupted
+
     def test_retrain_happened_during_horizon(self, uninterrupted):
         # guard: the sweep above must actually exercise a mid-horizon retrain
         assert any(w.retrained for w in uninterrupted.windows)
@@ -113,8 +158,6 @@ class TestCheckpointFormat:
             load_checkpoint(tmp_path / "nope", fleet)
 
     def test_version_check(self, fleet, tmp_path):
-        import json
-
         monitor = FleetMonitor(policy=POLICY)
         monitor.start(fleet, train_end_day=START)
         path = save_checkpoint(monitor, [], tmp_path / "ckpt")
@@ -126,6 +169,23 @@ class TestCheckpointFormat:
         write_manifest(path, MONITOR_FILES)
         with pytest.raises(ValueError, match="checkpoint version"):
             load_checkpoint(path, fleet)
+
+    def test_parent_layout_manifest_loads_identically(self, fleet, tmp_path):
+        """A manifest in the byte layout checkpoints had before the
+        shared commit protocol restores the same monitor."""
+        monitor = FleetMonitor(policy=POLICY)
+        monitor.start(fleet, train_end_day=START)
+        windows = [monitor.score_window(START, START + WINDOW)]
+        path = save_checkpoint(monitor, windows, tmp_path / "ckpt")
+        write_parent_layout_manifest(path, MONITOR_FILES)
+
+        restored, restored_windows = load_checkpoint(path, fleet)
+        assert restored_windows == windows
+        assert restored._alarmed == monitor._alarmed
+        assert restored._last_trained_day == monitor._last_trained_day
+        expected = monitor.score_window(START + WINDOW, START + 2 * WINDOW)
+        actual = restored.score_window(START + WINDOW, START + 2 * WINDOW)
+        assert actual == expected
 
     def test_config_survives_roundtrip(self, fleet, tmp_path):
         config = MFPAConfig(feature_group_name="SF", decision_threshold=0.4)
@@ -203,9 +263,19 @@ class TestCheckpointIntegrity:
         assert recovered == expected
 
     def test_manifest_garbage_raises_typed_error(self, checkpoint, fleet):
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
         (checkpoint / "manifest.json").write_text("{not json")
         with pytest.raises(CheckpointCorruptError, match="manifest"):
             load_checkpoint(checkpoint, fleet)
+        # Valid JSON that is not a well-formed manifest.
+        sizeless = {
+            name: {"sha256": entry["sha256"]}
+            for name, entry in manifest["files"].items()
+        }
+        for garbled in ([manifest], {**manifest, "files": sizeless}):
+            (checkpoint / "manifest.json").write_text(json.dumps(garbled))
+            with pytest.raises(CheckpointCorruptError, match="manifest"):
+                load_checkpoint(checkpoint, fleet)
 
     def test_legacy_checkpoint_without_manifest_still_loads(
         self, checkpoint, fleet

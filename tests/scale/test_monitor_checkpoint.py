@@ -24,6 +24,7 @@ from repro.robustness.checkpoint import CheckpointCorruptError
 from repro.scale import ShardedFleetMonitor
 from repro.scale.monitor import SHARD_MONITOR_FILES
 
+from tests.conftest import CommitCrash, write_parent_layout_manifest
 from tests.scale.conftest import cheap_config
 
 START, END, WINDOW = 240, 360, 40
@@ -102,6 +103,36 @@ def test_crash_after_one_shard_resumes_bit_identical(
     assert _counter("monitor_retrains_total") - retrains_before == 0
 
 
+@pytest.mark.parametrize(
+    "after_manifest", [False, True], ids=["before-manifest", "after-manifest"]
+)
+def test_crash_inside_progress_commit_resumes(
+    shard_store, baseline, tmp_path, crash_commit, after_manifest
+):
+    """Kill while the second shard's progress is being committed (the
+    third commit, after the models' and the first shard's): resume
+    rescores only what the last commit does not hold and matches the
+    uninterrupted run."""
+    checkpoint = tmp_path / "ckpt"
+    crash_commit(checkpoint, 3, after_manifest)
+    with pytest.raises(CommitCrash):
+        _monitor(shard_store).run(
+            START, END, window_days=WINDOW, checkpoint_dir=checkpoint
+        )
+    assert list(checkpoint.glob("*.pending"))
+
+    scored_before = _counter("scale_shards_scored_total")
+    summary = _monitor(shard_store).run(
+        START, END, window_days=WINDOW,
+        checkpoint_dir=checkpoint, resume=True,
+    )
+    assert_summaries_equal(summary, baseline)
+    committed = 2 if after_manifest else 1
+    assert _counter("scale_shards_scored_total") - scored_before == (
+        (shard_store.n_shards - committed) * N_WINDOWS
+    )
+
+
 def test_parallel_resume_checkpoints_at_group_boundaries(
     shard_store, baseline, tmp_path, monkeypatch
 ):
@@ -122,6 +153,22 @@ def test_parallel_resume_checkpoints_at_group_boundaries(
     finally:
         set_serial_fallback_mode("auto")
         shutdown_pool()
+    assert_summaries_equal(summary, baseline)
+
+
+def test_parent_layout_manifest_resumes(shard_store, baseline, tmp_path):
+    """A checkpoint manifest in the byte layout written before the
+    shared commit protocol resumes to the same summary."""
+    checkpoint = tmp_path / "ckpt"
+    _monitor(shard_store).run(
+        START, END, window_days=WINDOW,
+        checkpoint_dir=checkpoint, max_shards=1,
+    )
+    write_parent_layout_manifest(checkpoint, SHARD_MONITOR_FILES)
+    summary = _monitor(shard_store).run(
+        START, END, window_days=WINDOW,
+        checkpoint_dir=checkpoint, resume=True,
+    )
     assert_summaries_equal(summary, baseline)
 
 

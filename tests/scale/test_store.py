@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -48,6 +49,29 @@ class TestRoundtrip:
         )
         assert len(summary["fleet_fingerprint"]) == 16
 
+    def test_parent_layout_manifest_loads_identically(
+        self, small_fleet, tmp_path
+    ):
+        """A store manifest rebuilt by hand in its original byte layout
+        (sha256s from plain hashlib) verifies and loads the same shards."""
+        store = write_dataset_sharded(small_fleet, tmp_path / "s", n_shards=2)
+        manifest = json.loads((store.root / MANIFEST_NAME).read_text())
+        for record in manifest["shards"]:
+            blob = (store.root / record["filename"]).read_bytes()
+            assert record["sha256"] == hashlib.sha256(blob).hexdigest()
+            assert record["n_bytes"] == len(blob)
+        (store.root / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True)
+        )
+        reopened = ShardedDataset(store.root)
+        assert reopened.fleet_fingerprint == store.fleet_fingerprint
+        for index in range(store.n_shards):
+            got = reopened.load_shard(index, verify=True)
+            want = store.load_shard(index)
+            assert got.drives == want.drives
+            for column, values in want.columns.items():
+                np.testing.assert_array_equal(got.columns[column], values)
+
     def test_verified_load_passes_on_intact_store(self, shard_store):
         _ = shard_store.load_shard(0, verify=True)
 
@@ -92,6 +116,11 @@ class TestErrors:
         (root / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(ShardManifestError):
             ShardedDataset(root)
+        # Valid JSON that is not a well-formed store manifest.
+        for garbled in ([], {"format_version": 1, "vocab": {}}):
+            (root / MANIFEST_NAME).write_text(json.dumps(garbled))
+            with pytest.raises(ShardManifestError):
+                ShardedDataset(root)
 
     def test_wrong_format_version_raises(self, shard_store, tmp_path):
         root = tmp_path / "future"

@@ -13,6 +13,8 @@ from repro.robustness.checkpoint import CheckpointCorruptError, write_manifest
 from repro.serve import SERVE_FILES, ServeConfig, ServeDaemon, replay_into
 from repro.serve.retry import RetryPolicy
 
+from tests.conftest import CommitCrash
+
 from .conftest import END, SERVE_START, WINDOW
 
 
@@ -127,6 +129,42 @@ class TestKillResume:
         assert resumed.windows == reference.windows
         # exactly one sink line per alarmed drive — no duplicates after
         # the crash, no lost alarms
+        lines = sink.read_text().splitlines()
+        assert len(lines) == len(resumed.alarms.alarmed)
+
+    @pytest.mark.parametrize(
+        "after_manifest", [False, True], ids=["before-manifest", "after-manifest"]
+    )
+    def test_crash_inside_checkpoint_commit_resumes(
+        self, serve_models, serve_readings, serve_config, tmp_path,
+        crash_commit, after_manifest,
+    ):
+        """Kill while the second window's checkpoint is being committed:
+        resume restarts from the last commit — the first window's, or
+        the second's once its manifest landed — and replay matches the
+        uninterrupted run, sink included."""
+        full, reduced = serve_models
+        readings = _subset(serve_readings, 40)
+        reference = ServeDaemon.from_models(full, reduced, serve_config)
+        replay_into(reference, readings, end_day=END)
+
+        path, sink = tmp_path / "ckpt", tmp_path / "alarms.jsonl"
+        crash_commit(path, 2, after_manifest)
+        killed = ServeDaemon.from_models(
+            full, reduced, serve_config, checkpoint_dir=path, sink_path=sink,
+        )
+        with pytest.raises(CommitCrash):
+            _feed(killed, readings)
+        assert list(path.glob("*.pending"))
+
+        resumed = ServeDaemon.resume(path, sink_path=sink)
+        windows = 2 if after_manifest else 1
+        assert resumed.watermark == SERVE_START + windows * WINDOW
+        replay_into(
+            resumed, readings, end_day=END, min_day=resumed.watermark
+        )
+        assert resumed.alarm_records() == reference.alarm_records()
+        assert resumed.windows == reference.windows
         lines = sink.read_text().splitlines()
         assert len(lines) == len(resumed.alarms.alarmed)
 

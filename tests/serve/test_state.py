@@ -13,6 +13,8 @@ from repro.robustness.degraded import fit_reduced_model
 from repro.serve import SERVE_FILES, ServeDaemon, replay_into
 from repro.serve.state import DimensionFreshness, IncrementalScorer
 
+from tests.conftest import write_parent_layout_manifest
+
 from .conftest import END, SERVE_START, WINDOW
 from .test_daemon import _feed, _subset
 
@@ -246,6 +248,29 @@ class TestParentLayoutCheckpoint:
 
         resumed = ServeDaemon.resume(path)
         assert resumed.scorer.full.n_tracked_drives == len(full_block["drives"])
+        replay_into(resumed, readings, end_day=END, min_day=resumed.watermark)
+        assert resumed.alarm_records() == reference.alarm_records()
+        assert resumed.windows == reference.windows
+
+    def test_parent_layout_manifest_resumes_identically(
+        self, serve_models, serve_readings, serve_config, tmp_path
+    ):
+        """A checkpoint manifest in the byte layout written before the
+        shared commit protocol resumes to identical alarms."""
+        full, reduced = serve_models
+        readings = _subset(serve_readings, 40)
+        reference = ServeDaemon.from_models(full, reduced, serve_config)
+        replay_into(reference, readings, end_day=END)
+
+        path = tmp_path / "ckpt"
+        killed = ServeDaemon.from_models(
+            full, reduced, serve_config, checkpoint_dir=path
+        )
+        _feed(killed, readings, stop_day=SERVE_START + WINDOW + 1)
+        write_parent_layout_manifest(path, SERVE_FILES)
+
+        resumed = ServeDaemon.resume(path)
+        assert resumed.watermark == SERVE_START + WINDOW
         replay_into(resumed, readings, end_day=END, min_day=resumed.watermark)
         assert resumed.alarm_records() == reference.alarm_records()
         assert resumed.windows == reference.windows
