@@ -8,10 +8,13 @@ W/B counters, encoded firmware, a trailing-history ring) and turns raw
 daily readings into the same feature rows the batch pipeline would
 assemble — verified equivalent in the test suite.
 
-Ingest is batch-shaped: :meth:`ClientPredictor.ingest` assembles a
-whole batch of readings at once from slot-indexed per-drive arrays and
-a column plan compiled at construction; ``observe`` and ``alarm`` wrap
-a batch of one. A rejected reading (out-of-order day, unseen firmware,
+Ingest is batch-shaped: :func:`parse_readings` turns a run of readings
+into one :class:`ReadingBatch` (a float matrix with a presence mask),
+and :meth:`ClientPredictor.ingest` assembles the whole batch at once
+from slot-indexed per-drive arrays and a column plan compiled at
+construction; ``observe`` and ``alarm`` wrap a batch of one. The serve
+gate parses each drained run once and hands the validated batch
+straight here. A rejected reading (out-of-order day, unseen firmware,
 missing column in strict mode) leaves its drive's state untouched, so
 the caller can correct the reading and retry. With
 ``on_missing="impute"`` a reading with absent or non-finite values is
@@ -21,6 +24,7 @@ scored anyway — last-known value, else zero — and flagged degraded
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -32,7 +36,224 @@ from repro.core.pipeline import MFPA
 from repro.telemetry.dataset import B_COLUMNS, W_COLUMNS
 
 _EVENT_COLUMNS = frozenset((*W_COLUMNS, *B_COLUMNS))
-_NO_DAY = np.iinfo(np.int64).min
+#: A drive's last day before its first reading; also the parsed day of
+#: a reading whose day is not a whole number.
+NO_DAY = np.iinfo(np.int64).min
+
+
+@dataclass
+class ReadingBatch:
+    """A run of daily readings parsed into columns.
+
+    ``keys`` are every numeric key the run's readings carry (all but
+    ``firmware``). ``values[i, j]`` is reading ``i``'s ``keys[j]`` as a
+    float, NaN where the reading lacks it (``present`` is False there)
+    or where it is not a number (``non_numeric`` marks those cells;
+    ``None`` when there are none). A reading whose serial, day or body
+    cannot be parsed is ``malformed``; ``anonymous`` marks the ones
+    whose serial names no drive, and an unparseable day is
+    :data:`NO_DAY`. ``firmware`` holds each reading's label (``None``
+    when absent). ``readings`` are the source dicts, consulted only for
+    their key order when a reading is rejected.
+    """
+
+    serials: np.ndarray
+    days: np.ndarray
+    keys: tuple
+    values: np.ndarray
+    present: np.ndarray
+    firmware: list
+    readings: list
+    malformed: np.ndarray
+    anonymous: np.ndarray
+    non_numeric: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.serials)
+
+    @functools.cached_property
+    def position(self) -> dict:
+        """Column index of each key."""
+        return {key: j for j, key in enumerate(self.keys)}
+
+    def take(self, index: np.ndarray, values=None, present=None) -> "ReadingBatch":
+        """The readings at ``index``; ``values``/``present`` replace the
+        matrix (already taken) when given."""
+        return ReadingBatch(
+            serials=self.serials[index],
+            days=self.days[index],
+            keys=self.keys,
+            values=self.values[index] if values is None else values,
+            present=self.present[index] if present is None else present,
+            firmware=[self.firmware[i] for i in index],
+            readings=[self.readings[i] for i in index],
+            malformed=self.malformed[index],
+            anonymous=self.anonymous[index],
+            non_numeric=(
+                None if self.non_numeric is None else self.non_numeric[index]
+            ),
+        )
+
+    def columns(self, names) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(values, present, non_numeric)`` over ``names``; a name no
+        reading carries is an absent column."""
+        index = [self.position.get(name, -1) for name in names]
+        if -1 not in index:
+            non_numeric = self.non_numeric
+            return self.values[:, index], self.present[:, index], (
+                None if non_numeric is None else non_numeric[:, index]
+            )
+        index = np.array(index, dtype=np.intp)
+        have = index >= 0
+        shape = (len(self), len(index))
+        values = np.full(shape, math.nan)
+        values[:, have] = self.values[:, index[have]]
+        present = np.zeros(shape, dtype=bool)
+        present[:, have] = self.present[:, index[have]]
+        non_numeric = None
+        if self.non_numeric is not None:
+            non_numeric = np.zeros(shape, dtype=bool)
+            non_numeric[:, have] = self.non_numeric[:, index[have]]
+        return values, present, non_numeric
+
+
+def _integers(items, n: int, whole: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``items`` as int64 plus a mask of the ones that are not numbers
+    (``whole``: not whole numbers — ``10.7`` is refused, ``10.0`` kept)."""
+    try:
+        array = np.asarray(items)
+    except (TypeError, ValueError):
+        array = None
+    if array is not None and array.shape == (n,) and array.dtype.kind == "i":
+        return array.astype(np.int64, copy=False), np.zeros(n, dtype=bool)
+    out = np.empty(n, dtype=np.int64)
+    bad = np.zeros(n, dtype=bool)
+    for i, item in enumerate(items):
+        try:
+            number = int(item)
+            if whole and number != item and float(item) != number:
+                raise ValueError(f"{item!r} is not a whole number")
+            out[i] = number
+        except (TypeError, ValueError, OverflowError):
+            bad[i] = True
+    return out, bad
+
+
+def _getter(keys: tuple):
+    """reading -> tuple of its ``keys`` values; KeyError when one is
+    absent (itemgetter returns a bare value for one name)."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return lambda reading: tuple(reading[key] for key in keys)
+
+
+def _float_matrix(rows: list, width: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows of raw values as floats, with the cells ``float()`` refuses
+    marked (NaN in the matrix)."""
+    n = len(rows)
+    non_numeric = np.zeros((n, width), dtype=bool)
+    try:
+        values = np.array(rows, dtype=float).reshape(n, width)
+        # numpy reads None as NaN where float() refuses it
+        for i, j in zip(*np.nonzero(np.isnan(values))):
+            non_numeric[i, j] = rows[i][j] is None
+    except (TypeError, ValueError, OverflowError):
+        values = np.empty((n, width))
+        for i, row in enumerate(rows):
+            for j, value in enumerate(row):
+                try:
+                    values[i, j] = float(value)
+                except (TypeError, ValueError, OverflowError):
+                    values[i, j] = math.nan
+                    non_numeric[i, j] = True
+    return values, non_numeric if non_numeric.any() else None
+
+
+def parse_readings(serials, days, readings) -> ReadingBatch:
+    """Parse parallel sequences of serials, days and reading dicts once.
+
+    When every reading is a dict with the same keys (one collector
+    schema, the normal case) the values come out through one
+    ``itemgetter`` and one ``np.array``; otherwise row by row.
+    """
+    readings = list(readings)
+    n = len(readings)
+    serials, anonymous = _integers(serials, n, whole=False)
+    days, bad_day = _integers(days, n, whole=True)
+    days[bad_day] = NO_DAY
+    malformed = anonymous | bad_day
+
+    first = readings[0] if n else {}
+    rows = None
+    if set(map(type, readings)) <= {dict} and set(map(len, readings)) <= {len(first)}:
+        keys = tuple(key for key in first if key != "firmware")
+        try:
+            rows = list(map(_getter(keys), readings))
+            firmware = (
+                [r["firmware"] for r in readings]
+                if "firmware" in first
+                else [None] * n
+            )
+        except KeyError:
+            rows = None
+    if rows is None:
+        parsed = []
+        for i, reading in enumerate(readings):
+            if type(reading) is not dict:
+                try:
+                    reading = dict(reading)
+                except (TypeError, ValueError):
+                    malformed[i] = True
+                    reading = {}
+            parsed.append(reading)
+        readings = parsed
+        keys = tuple(
+            dict.fromkeys(k for r in readings for k in r if k != "firmware")
+        )
+        nan = math.nan
+        rows = [[r.get(key, nan) for key in keys] for r in readings]
+        present = np.array(
+            [[key in r for key in keys] for r in readings], dtype=bool
+        ).reshape(n, len(keys))
+        firmware = [r.get("firmware") for r in readings]
+    else:
+        present = np.ones((n, len(keys)), dtype=bool)
+    values, non_numeric = _float_matrix(rows, len(keys))
+    return ReadingBatch(
+        serials=serials,
+        days=days,
+        keys=keys,
+        values=values,
+        present=present,
+        firmware=firmware,
+        readings=readings,
+        malformed=malformed,
+        anonymous=anonymous,
+        non_numeric=non_numeric,
+    )
+
+
+def drive_rounds(serials: np.ndarray, order: np.ndarray):
+    """Batch positions in rounds of distinct drives.
+
+    Round ``k`` holds each drive's ``k``-th reading by ``order`` (its
+    day, or its batch position), so applying the rounds in turn is
+    one-reading-at-a-time processing in that order.
+    """
+    n = serials.size
+    if n == 0:
+        return
+    index = np.lexsort((order, serials))
+    ordered = serials[index]
+    first = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if starts.size == n:
+        yield np.arange(n)
+        return
+    rank = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    for k in range(int(rank.max()) + 1):
+        yield np.sort(index[rank == k])
 
 
 @dataclass
@@ -95,18 +316,12 @@ class _DriveTable:
         self.cum_columns = tuple(self.columns[p] for p in events)
         self.event_columns = tuple(c[4:] for c in self.cum_columns)
         self.sources = self.raw_columns + self.event_columns
-        # reading -> tuple of source values; KeyError when one is absent
-        # (itemgetter returns a bare value, not a tuple, for one name)
-        self.get_sources = (
-            operator.itemgetter(*self.sources)
-            if len(self.sources) > 1
-            else lambda reading: tuple(reading[c] for c in self.sources)
-        )
         self.fw_codes = (
             {label: float(code) for code, label in enumerate(self.encoder.classes_)}
             if self.fw_pos is not None
             else None
         )
+
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self._PERSISTED}
@@ -118,7 +333,7 @@ class _DriveTable:
     # -- slots ----------------------------------------------------------
     def _allocate(self, capacity: int) -> None:
         width = len(self.columns)
-        self.last_day = np.full(capacity, _NO_DAY, dtype=np.int64)
+        self.last_day = np.full(capacity, NO_DAY, dtype=np.int64)
         self.n_history = np.zeros(capacity, dtype=np.int64)
         self.n_degraded = np.zeros(capacity, dtype=np.int64)
         self.last_raw = np.full((capacity, len(self.raw_columns)), np.nan)
@@ -126,10 +341,8 @@ class _DriveTable:
         self.firmware = np.full(capacity, np.nan)
         self.ring = np.zeros((capacity, self.depth, width))
 
-    def _slot(self, serial: int) -> int:
-        slot = self.slots.get(serial)
-        if slot is not None:
-            return slot
+    def _slot(self, serial: int) -> None:
+        """Give an untracked drive a slot."""
         if self.free:
             slot = self.free.pop()
         else:
@@ -141,13 +354,12 @@ class _DriveTable:
                 for name, array in kept.items():
                     getattr(self, name)[:capacity] = array
         self.slots[serial] = slot
-        return slot
 
     def release(self, serial: int) -> None:
         slot = self.slots.pop(serial, None)
         if slot is None:
             return
-        self.last_day[slot] = _NO_DAY
+        self.last_day[slot] = NO_DAY
         self.n_history[slot] = 0
         self.n_degraded[slot] = 0
         self.last_raw[slot] = np.nan
@@ -156,60 +368,47 @@ class _DriveTable:
         self.free.append(slot)
 
     # -- assembly -------------------------------------------------------
-    def _values(self, readings, errors: dict) -> np.ndarray:
-        """``(n, len(sources))`` floats; NaN where a value is absent."""
-        nan = math.nan
-        sources = self.sources
-        rows = []
-        for reading in readings:
-            try:
-                rows.append(self.get_sources(reading))
-            except KeyError:
-                rows.append([reading.get(c, nan) for c in sources])
-        try:
-            return np.array(rows, dtype=float).reshape(len(rows), len(sources))
-        except (TypeError, ValueError):
-            values = np.full((len(rows), len(sources)), nan)
-            for i, row in enumerate(rows):
-                try:
-                    values[i] = row
-                except (TypeError, ValueError) as error:
-                    errors[i] = ValueError(f"reading has a non-numeric value: {error}")
-            return values
-
-    def _firmware(self, readings, errors: dict) -> np.ndarray:
+    def _codes(self, labels, errors: dict) -> np.ndarray:
         """Firmware codes (NaN where absent); unseen labels are errors."""
-        codes = np.full(len(readings), np.nan)
         if self.fw_codes is None:
-            return codes
+            return np.full(len(labels), np.nan)
         lookup = self.fw_codes.get
-        for i, reading in enumerate(readings):
-            label = reading.get("firmware")
-            if label is None:
-                continue
-            try:
-                code = lookup(label)
-            except TypeError:  # unhashable label
-                code = None
-            if code is None:
-                errors[i] = ValueError(f"unseen label {label!r}")
-            else:
-                codes[i] = code
-        return codes
+        nan = math.nan
+        try:
+            codes = np.array(
+                [nan if label is None else lookup(label, -1.0) for label in labels]
+            )
+        except TypeError:  # an unhashable label: unseen
+            codes = np.full(len(labels), -1.0)
+            for i, label in enumerate(labels):
+                try:
+                    codes[i] = nan if label is None else lookup(label, -1.0)
+                except TypeError:
+                    pass
+        for i in np.flatnonzero(codes < 0):
+            errors.setdefault(int(i), ValueError(f"unseen label {labels[i]!r}"))
+        return codes.reshape(len(labels))
 
-    def ingest(self, serials, days, readings, impute: bool):
-        """Commit a batch; see :meth:`ClientPredictor.ingest`.
+    def ingest(self, batch: ReadingBatch, impute: bool):
+        """Commit a parsed batch; see :meth:`ClientPredictor.ingest`.
 
         Returns ``(rows, rejections, missing)``: ``missing`` names the
         imputed inputs of the last accepted reading (``None`` when no
         reading was accepted).
         """
-        n = len(readings)
-        serials = np.fromiter((int(s) for s in serials), dtype=np.int64, count=n)
-        days = np.fromiter((int(d) for d in days), dtype=np.int64, count=n)
-        errors: dict[int, Exception] = {}
-        values = self._values(readings, errors)
-        codes = self._firmware(readings, errors)
+        n = len(batch)
+        serials, days = batch.serials, batch.days
+        message = "the reading's serial, day or body does not parse"
+        errors: dict[int, Exception] = {
+            int(i): ValueError(message) for i in np.flatnonzero(batch.malformed)
+        }
+        values, present, non_numeric = batch.columns(self.sources)
+        if non_numeric is not None:
+            for i, j in zip(*np.nonzero(non_numeric)):
+                errors.setdefault(int(i), ValueError(
+                    f"reading has a non-numeric {self.sources[j]!r}"
+                ))
+        codes = self._codes(batch.firmware, errors)
         finite = np.isfinite(values)
         n_raw = len(self.raw_columns)
         raw_missing = ~finite[:, :n_raw]
@@ -218,25 +417,27 @@ class _DriveTable:
         )
         # An absent event count adds nothing and is not a defect; a
         # present but non-finite one is treated as absent and flagged.
-        bad_event = np.zeros((n, len(self.event_columns)), dtype=bool)
-        for i, j in zip(*np.nonzero(~finite[:, n_raw:])):
-            bad_event[i, j] = self.event_columns[j] in readings[i]
+        bad_event = present[:, n_raw:] & ~finite[:, n_raw:]
         degraded = raw_missing.any(axis=1) | fw_missing | bad_event.any(axis=1)
         if not impute:
             for i in np.flatnonzero(degraded):
                 errors.setdefault(int(i), self._strict_error(
-                    readings[i], raw_missing[i], bad_event[i]
+                    present[i, :n_raw], raw_missing[i], batch.firmware[i], bad_event[i]
                 ))
 
-        new = [int(s) for s in serials if int(s) not in self.slots]
-        slots = np.fromiter(
-            (self._slot(int(s)) for s in serials), dtype=np.intp, count=n
-        )
+        valid = np.flatnonzero(~batch.malformed)
+        tracked = serials[valid].tolist()
+        new = [s for s in dict.fromkeys(tracked) if s not in self.slots]
+        for serial in new:
+            self._slot(serial)
+        slots = np.zeros(n, dtype=np.intp)
+        slots[valid] = [self.slots[s] for s in tracked]
         rejected = np.zeros(n, dtype=bool)
         rejected[list(errors)] = True
         out = np.empty((n, self.depth * len(self.columns)))
         accepted = np.zeros(n, dtype=bool)
-        for idx in self._rounds(serials, days):
+        for idx in drive_rounds(serials[valid], days[valid]):
+            idx = valid[idx]
             late = self.last_day[slots[idx]] >= days[idx]
             for i in idx[late]:
                 errors[int(i)] = ValueError(
@@ -252,7 +453,7 @@ class _DriveTable:
                 )
                 accepted[idx] = True
         for serial in new:
-            if self.last_day[self.slots[serial]] == _NO_DAY:
+            if self.last_day[self.slots[serial]] == NO_DAY:
                 self.release(serial)
 
         missing = None
@@ -265,36 +466,16 @@ class _DriveTable:
             )
         return out[accepted], errors, missing
 
-    def _strict_error(self, reading, raw_missing, bad_event) -> Exception:
-        for column, missing in zip(self.raw_columns, raw_missing):
+    def _strict_error(self, raw_present, raw_missing, firmware, bad_event) -> Exception:
+        for column, present, missing in zip(self.raw_columns, raw_present, raw_missing):
             if missing:
-                if column not in reading:
+                if not present:
                     return KeyError(f"reading is missing {column!r}")
                 return ValueError(f"reading has a non-finite {column!r}")
-        if self.fw_pos is not None and reading.get("firmware") is None:
+        if self.fw_pos is not None and firmware is None:
             return KeyError("reading is missing 'firmware'")
         column = self.event_columns[int(np.flatnonzero(bad_event)[0])]
         return ValueError(f"reading has a non-finite {column!r}")
-
-    @staticmethod
-    def _rounds(serials: np.ndarray, days: np.ndarray):
-        """Batch positions in rounds of distinct drives.
-
-        Round ``k`` holds each drive's ``k``-th reading in day order, so
-        applying the rounds in turn is one-at-a-time ingest.
-        """
-        n = serials.size
-        if n == 0:
-            return
-        order = np.lexsort((days, serials))
-        ordered = serials[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        if starts.size == n:
-            yield np.arange(n)
-            return
-        rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
-        for k in range(int(rank.max()) + 1):
-            yield np.sort(order[rank == k])
 
     def _commit(self, slots, days, values, finite, codes, degraded) -> np.ndarray:
         """Apply one round (distinct slots); return its rows."""
@@ -504,16 +685,21 @@ class ClientPredictor:
             dtype=np.intp,
         )
 
-    def ingest(self, serials, days, readings) -> tuple[np.ndarray, dict[int, Exception]]:
+    def ingest(
+        self, serials, days=None, readings=None
+    ) -> tuple[np.ndarray, dict[int, Exception]]:
         """Commit a batch of daily readings; return their input rows.
 
-        ``serials``, ``days`` and ``readings`` are parallel sequences.
-        Returns ``(rows, rejections)``: one row per accepted reading, in
-        batch order, and ``{batch position: exception}`` for each
-        rejected one. This is :meth:`observe` without the model call —
-        the streaming state update (cumulative counters, trailing
-        history, last-known values) plus feature assembly; pass the rows
-        to :meth:`predict_matrix`.
+        ``serials``, ``days`` and ``readings`` are parallel sequences,
+        parsed by :func:`parse_readings`; ``serials`` may instead be an
+        already parsed :class:`ReadingBatch` (the serve gate's output),
+        with ``days`` and ``readings`` omitted. Returns
+        ``(rows, rejections)``: one row per accepted reading, in batch
+        order, and ``{batch position: exception}`` for each rejected
+        one. This is :meth:`observe` without the model call — the
+        streaming state update (cumulative counters, trailing history,
+        last-known values) plus feature assembly; pass the rows to
+        :meth:`predict_matrix`.
 
         Readings must arrive in chronological order per drive: a day at
         or before the drive's last committed day is rejected. Readings
@@ -522,10 +708,17 @@ class ClientPredictor:
         W/B counts are added to the drive's running counters *before*
         assembly, matching the batch pipeline's accumulate-then-assemble
         order. A rejected reading leaves its drive untouched — it is
-        retryable.
+        retryable. A value that does not parse as a number (``None``
+        included) or a serial or day that does not (a day must be a
+        whole number) rejects its reading.
         """
+        batch = (
+            serials
+            if isinstance(serials, ReadingBatch)
+            else parse_readings(serials, days, readings)
+        )
         rows, rejections, missing = self._table.ingest(
-            serials, days, readings, impute=self.on_missing == "impute"
+            batch, impute=self.on_missing == "impute"
         )
         if missing is not None:
             self.last_missing_columns = missing

@@ -59,6 +59,8 @@ DAYS_BUCKETS = (1, 2, 5, 10, 20, 30, 60, 90, 120, 180)
 
 
 def _label_items(labels: Mapping[str, object]) -> LabelItems:
+    if not labels:  # the label-less sample: skip the sort-and-stringify
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

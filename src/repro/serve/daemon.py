@@ -3,12 +3,15 @@
 Data path::
 
     submit() ──▶ BoundedReadingQueue          (backpressure, shedding)
-    pump()   ──▶ per reading:
-                   ReadingGate.admit          (quarantine / repair)
-                   DimensionFreshness.observe (staleness watch)
+    pump()   ──▶ parse_readings               (the drained readings, once,
+                                               into one ReadingBatch)
              ──▶ per run of readings between window boundaries:
-                   IncrementalScorer.stage    (one batch into the shared
-                                               per-drive feature state)
+                   ReadingGate.admit          (quarantine / repair, the
+                                               run as one matrix)
+                   DimensionFreshness.observe (staleness watch)
+                   IncrementalScorer.stage    (the admitted matrix into
+                                               the shared per-drive
+                                               feature state)
              ──▶ window flush at each boundary:
                    score the staged row matrix in batches under
                    RetryPolicy, route full ▸ reduced (a column gather of
@@ -41,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.client import ClientPredictor
+from repro.core.client import NO_DAY, ClientPredictor, ReadingBatch, parse_readings
 from repro.core.pipeline import MFPA, MFPAConfig
 from repro.obs import (
     get_logger,
@@ -394,56 +397,56 @@ class ServeDaemon:
         return self.summary()
 
     def _process(self, items) -> None:
-        """Gate each reading; stage each run between window boundaries
-        as one batch."""
-        pending: list[tuple[int, int, dict]] = []
-        gate_seconds = assemble_seconds = 0.0
+        """Parse the drained readings once; gate and stage each run
+        between window boundaries as one batch."""
         started = time.perf_counter()
-        for serial, day, reading in items:
-            try:
-                numeric_day = int(day)
-            except (TypeError, ValueError):
-                self.gate.note_quarantine(serial, "malformed")
-                continue
-            # Boundary first: a reading belonging to a later window must
-            # not be admitted before this window's flush commits (the
-            # watermark replay contract depends on it).
-            if numeric_day >= self.window_start + self.config.window_days:
-                gate_seconds += time.perf_counter() - started
-                assemble_seconds += self._stage(pending)
-                pending = []
-                while numeric_day >= self.window_start + self.config.window_days:
-                    self._flush_window()
-                started = time.perf_counter()
-            clean = self.gate.admit(serial, numeric_day, reading)
-            if clean is None:
-                continue
-            self.freshness.observe(clean)
-            pending.append((int(serial), numeric_day, clean))
-        gate_seconds += time.perf_counter() - started
-        assemble_seconds += self._stage(pending)
+        batch = parse_readings(*zip(*items))
+        # Boundary first: a reading belonging to a later window must not
+        # be admitted before this window's flush commits (the watermark
+        # replay contract depends on it). ``reach`` is how many windows
+        # past the open one the stream has got by each reading.
+        dated = batch.days != NO_DAY
+        ahead = np.zeros(len(batch), dtype=np.int64)
+        window = self.config.window_days
+        ahead[dated] = (batch.days[dated] - self.window_start) // window
+        reach = np.maximum.accumulate(np.maximum(ahead, 0))
+        runs = np.split(np.arange(len(batch)), np.flatnonzero(np.diff(reach)) + 1)
+        gate_seconds = time.perf_counter() - started
+        assemble_seconds = 0.0
+        flushed = 0
+        for run in runs:
+            while flushed < reach[run[0]]:
+                self._flush_window()
+                flushed += 1
+            started = time.perf_counter()
+            admitted = self.gate.admit(
+                batch if len(run) == len(batch) else batch.take(run)
+            )
+            if admitted is not None:
+                self.freshness.observe(admitted)
+            gate_seconds += time.perf_counter() - started
+            if admitted is not None:
+                assemble_seconds += self._stage(admitted)
         observe_histogram("serve_stage_seconds", gate_seconds, stage="gate")
         observe_histogram("serve_stage_seconds", assemble_seconds, stage="assemble")
 
-    def _stage(self, pending: list[tuple[int, int, dict]]) -> float:
+    def _stage(self, batch: ReadingBatch) -> float:
         """Stage admitted readings in one scorer call; return its seconds."""
-        if not pending:
-            return 0.0
         started = time.perf_counter()
-        serials, days, readings = zip(*pending)
-        rows, rejections = self.scorer.stage(serials, days, readings)
-        accepted = np.ones(len(pending), dtype=bool)
-        for position, error in rejections.items():
-            # the gate validates firmware labels first, so this is a
-            # backstop for whatever else the assembly rejects
-            accepted[position] = False
-            self.gate.note_quarantine(serials[position], "assembly_error")
-            _LOG.warning(
-                "assembly failed", serial=serials[position],
-                day=days[position], error=repr(error),
-            )
-        serials = np.asarray(serials, dtype=np.int64)[accepted]
-        days = np.asarray(days, dtype=np.int64)[accepted]
+        rows, rejections = self.scorer.stage(batch)
+        serials, days = batch.serials, batch.days
+        if rejections:
+            accepted = np.ones(len(batch), dtype=bool)
+            for position, error in rejections.items():
+                # the gate validates firmware labels first, so this is a
+                # backstop for whatever else the assembly rejects
+                accepted[position] = False
+                self.gate.note_quarantine(serials[position], "assembly_error")
+                _LOG.warning(
+                    "assembly failed", serial=int(serials[position]),
+                    day=int(days[position]), error=repr(error),
+                )
+            serials, days = serials[accepted], days[accepted]
         live = days >= self.config.serve_start_day
         if live.any():
             self._staged.append(

@@ -8,7 +8,8 @@ covers the full model's columns (widened to the union with the reduced
 model's when those are not a subset), so every admitted reading is
 assembled once and the reduced route reads its rows as a column gather
 (``rows[:, reduced_index]``). The daemon can therefore switch routes at
-any window boundary without a state rebuild. Staging a drained batch
+any window boundary without a state rebuild. Staging the gate's admitted
+batch (already parsed: a :class:`~repro.core.client.ReadingBatch`)
 returns its assembled rows in one array; the daemon stacks them and
 calls ``predict_matrix`` once per scoring batch.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.client import ClientPredictor
+from repro.core.client import ClientPredictor, ReadingBatch
 from repro.robustness.faults import DIMENSION_COLUMNS
 
 __all__ = ["DimensionFreshness", "IncrementalScorer"]
@@ -42,10 +43,8 @@ class IncrementalScorer:
     def has_reduced(self) -> bool:
         return self.reduced is not None
 
-    def stage(
-        self, serials, days, readings
-    ) -> tuple[np.ndarray, dict[int, Exception]]:
-        """Commit a batch of readings; return ``(rows, rejections)``.
+    def stage(self, batch: ReadingBatch) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Commit a parsed batch of readings; return ``(rows, rejections)``.
 
         One :meth:`ClientPredictor.ingest` of the shared state: ``rows``
         holds one row per accepted reading in batch order, and
@@ -53,7 +52,7 @@ class IncrementalScorer:
         (an unseen firmware label, for one). A rejected reading leaves
         its drive untouched.
         """
-        return self.full.ingest(serials, days, readings)
+        return self.full.ingest(batch)
 
     def predict_full(self, X: np.ndarray) -> np.ndarray:
         return self.full.predict_matrix(X)
@@ -91,12 +90,20 @@ class DimensionFreshness:
         self.stale_after = stale_after
         self._streaks: dict[str, int] = {name: 0 for name in DIMENSION_COLUMNS}
 
-    def observe(self, reading: dict) -> None:
+    def observe(self, batch: ReadingBatch) -> None:
+        """Advance every streak over a batch of admitted readings, in order."""
+        n = len(batch)
+        position = batch.position
         for name, columns in DIMENSION_COLUMNS.items():
-            if any(column in reading for column in columns):
-                self._streaks[name] = 0
+            index = [position[c] for c in columns if c in position]
+            seen = batch.present[:, index].any(axis=1)
+            if "firmware" in columns:
+                seen |= np.array([f is not None for f in batch.firmware], dtype=bool)
+            hits = np.flatnonzero(seen)
+            if hits.size:
+                self._streaks[name] = int(n - 1 - hits[-1])
             else:
-                self._streaks[name] += 1
+                self._streaks[name] += n
 
     def stale_dimensions(self) -> tuple[str, ...]:
         return tuple(

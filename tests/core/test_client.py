@@ -275,6 +275,28 @@ class TestBatchIngest:
         rows, rejections = predictor.ingest([a], [day1], [a1])
         assert not rejections and len(rows) == 1
 
+    def test_unseen_drive_rejected_twice_in_one_batch(self, fitted):
+        """Regression: a drive new to the predictor whose every reading in
+        the batch was rejected used to raise ``KeyError`` (its serial was
+        released twice)."""
+        predictor = ClientPredictor.from_model(fitted)
+        bad = {"firmware": "I_F_1"}  # strict mode: columns missing
+        rows, rejections = predictor.ingest([5, 5], [1, 2], [bad, bad])
+        assert len(rows) == 0
+        assert sorted(rejections) == [0, 1]
+        assert all(isinstance(e, KeyError) for e in rejections.values())
+        assert predictor.n_tracked_drives == 0
+
+    def test_malformed_serial_or_day_rejects_only_its_reading(self, fitted):
+        serial = int(fitted.dataset_.serials[0])
+        (day0, r0), (day1, r1) = _raw_readings(fitted, serial)[:2]
+        predictor = ClientPredictor.from_model(fitted)
+        rows, rejections = predictor.ingest(
+            ["x", serial, serial], [day0, day0 + 0.5, float(day1)], [r0, r0, r1]
+        )
+        assert sorted(rejections) == [0, 1] and len(rows) == 1
+        assert predictor.snapshot()["drives"][str(serial)]["last_day"] == day1
+
     def test_readings_of_one_drive_applied_in_day_order(self, stacked):
         serial = int(stacked.dataset_.serials[0])
         readings = _raw_readings(stacked, serial)[:4]

@@ -49,6 +49,21 @@ class TestInstruments:
         assert registry.counter("alarms_total", kind="tp").value == 1
         assert registry.counter("alarms_total", kind="fp").value == 2
 
+    def test_label_less_and_labelled_samples_stay_distinct(self):
+        registry = MetricsRegistry(declare_catalog=False)
+        registry.counter("readings_total").inc(3)
+        registry.counter("readings_total", rule="stale").inc()
+        registry.gauge("depth").set(2)
+        registry.gauge("depth", queue="b").set(5)
+        dumped = {
+            family["name"]: [(s["labels"], s["value"]) for s in family["samples"]]
+            for family in registry.dump()
+        }
+        assert dumped == {
+            "depth": [({}, 2.0), ({"queue": "b"}, 5.0)],
+            "readings_total": [({}, 3.0), ({"rule": "stale"}, 1.0)],
+        }
+
     def test_type_conflict_rejected(self):
         registry = MetricsRegistry(declare_catalog=False)
         registry.counter("x")

@@ -1,6 +1,8 @@
 """ServeDaemon end-to-end: batch parity, kill/resume, degraded routing,
 breaker fallback, and typed checkpoint-corruption errors."""
 
+import json
+import math
 import shutil
 
 import numpy as np
@@ -10,12 +12,13 @@ from repro.obs import get_registry
 from repro.parallel import shutdown_pool
 from repro.parallel.calibration import set_serial_fallback_mode
 from repro.robustness.checkpoint import CheckpointCorruptError, write_manifest
-from repro.serve import SERVE_FILES, ServeConfig, ServeDaemon, replay_into
+from repro.serve import SERVE_FILES, GatePolicy, ServeConfig, ServeDaemon, replay_into
 from repro.serve.retry import RetryPolicy
 
-from tests.conftest import CommitCrash
+from tests.conftest import CommitCrash, write_parent_layout_manifest
 
 from .conftest import END, SERVE_START, WINDOW
+from .gate_oracle import OracleGate
 
 
 def _counter(name: str) -> float:
@@ -44,6 +47,25 @@ def _feed(daemon, readings, stop_day=None, on_day=None):
         current = day
         daemon.submit(serial, day, reading)
     daemon.pump()
+
+
+def _with_faults(readings):
+    """The stream with gate work in it before the first window closes:
+    one drive redelivers days until it is banned, another reports a
+    counter reset and a NaN temperature."""
+    banned, faulty = sorted(
+        {serial for serial, day, _ in readings if day == SERVE_START + 5}
+    )[:2]
+    out = []
+    for serial, day, reading in readings:
+        if serial == faulty and day == SERVE_START + 5:
+            reading = {
+                **reading, "s12_power_on_hours": 0.0, "s2_temperature": math.nan,
+            }
+        out.append((serial, day, reading))
+        if serial == banned and SERVE_START <= day < SERVE_START + 3:
+            out.append((serial, day, reading))  # duplicate delivery
+    return out
 
 
 class TestBatchParity:
@@ -168,6 +190,46 @@ class TestKillResume:
         lines = sink.read_text().splitlines()
         assert len(lines) == len(resumed.alarms.alarmed)
 
+    def test_resume_from_a_parent_layout_gate_block(
+        self, serve_models, serve_readings, tmp_path
+    ):
+        """A checkpoint whose gate block is in the per-reading gate's
+        layout (per-drive dicts, built here by that gate's oracle)
+        resumes: the next snapshot reproduces the block and the resumed
+        run's alarms are the uninterrupted run's."""
+        full, reduced = serve_models
+        config = ServeConfig(
+            serve_start_day=SERVE_START, window_days=WINDOW, end_day=END,
+            gate=GatePolicy(quarantine_drive_after=3),
+        )
+        readings = _with_faults(_subset(serve_readings, 40))
+        watermark = SERVE_START + WINDOW
+        reference = ServeDaemon.from_models(full, reduced, config)
+        replay_into(reference, readings, end_day=END)
+
+        path = tmp_path / "ckpt"
+        killed = ServeDaemon.from_models(full, reduced, config, checkpoint_dir=path)
+        _feed(killed, readings, stop_day=watermark + 1)
+        oracle = OracleGate(
+            config.gate, firmware_vocabulary=killed.scorer.full.firmware_vocabulary
+        )
+        for serial, day, reading in readings:
+            if day < watermark:
+                oracle.admit(serial, day, reading)
+        block = json.loads(json.dumps(oracle.snapshot()))
+        assert block["banned"] and block["quarantine_counts"]
+        state = json.loads((path / "state.json").read_text())
+        assert state["gate"] == block
+        state["gate"] = block
+        (path / "state.json").write_text(json.dumps(state))
+        write_parent_layout_manifest(path, SERVE_FILES)
+
+        resumed = ServeDaemon.resume(path)
+        assert resumed.gate.snapshot() == block
+        replay_into(resumed, readings, end_day=END, min_day=resumed.watermark)
+        assert resumed.alarm_records() == reference.alarm_records()
+        assert resumed.windows == reference.windows
+
     def test_resume_is_idempotent_at_end_of_stream(
         self, serve_models, serve_readings, serve_config, tmp_path
     ):
@@ -185,6 +247,27 @@ class TestKillResume:
         )
         assert summary["n_windows"] == len(daemon.windows)
         assert resumed.alarm_records() == daemon.alarm_records()
+
+
+class TestFractionalDay:
+    def test_fractional_day_quarantined_before_the_window_boundary(
+        self, serve_models, serve_readings, serve_config
+    ):
+        """Regression: the boundary check truncated a day such as 270.5
+        to 270, which closed the open window early, and the gate then
+        admitted the reading as day 270."""
+        full, reduced = serve_models
+        daemon = ServeDaemon.from_models(full, reduced, serve_config)
+        serial, _, reading = serve_readings[0]
+        daemon.submit(serial, SERVE_START + WINDOW + 0.5, reading)
+        daemon.pump()
+        assert daemon.windows == [] and daemon.window_start == SERVE_START
+        assert daemon.gate.last_day(serial) is None
+        assert daemon.gate.quarantine_counts == {serial: 1}
+        # an integral float day, as a JSON producer may send, is a day
+        daemon.submit(serial, float(SERVE_START), reading)
+        daemon.pump()
+        assert daemon.gate.last_day(serial) == SERVE_START
 
 
 class TestDegradedRouting:

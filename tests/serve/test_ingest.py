@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+from repro.core.client import parse_readings
 from repro.obs import get_registry
 from repro.serve.ingest import BoundedReadingQueue, GatePolicy, ReadingGate
+
+from .gate_oracle import batch_readings
 
 
 def _counter(name: str, **labels) -> float:
@@ -19,58 +22,70 @@ def _counter(name: str, **labels) -> float:
     return 0.0
 
 
+def _admit(gate, serial, day, reading) -> dict | None:
+    """Admit a batch of one; return its clean reading dict or ``None``."""
+    admitted = gate.admit(parse_readings([serial], [day], [reading]))
+    if admitted is None:
+        return None
+    (clean,) = batch_readings(admitted)
+    if clean["firmware"] is None:
+        del clean["firmware"]
+    return clean
+
+
 GOOD = {"s2_temperature": 40.0, "w161_fs_io_error": 1.0, "firmware": "FW1"}
 
 
 class TestGateRules:
     def test_clean_reading_passes_unchanged(self):
         gate = ReadingGate()
-        assert gate.admit(1, 10, GOOD) == GOOD
+        assert _admit(gate, 1, 10, GOOD) == GOOD
         assert _counter("serve_readings_ingested_total") == 1.0
 
     def test_stale_day_rejected(self):
         gate = ReadingGate()
-        assert gate.admit(1, 10, GOOD) is not None
-        assert gate.admit(1, 10, GOOD) is None  # duplicate
-        assert gate.admit(1, 9, GOOD) is None  # out of order
+        assert _admit(gate, 1, 10, GOOD) is not None
+        assert _admit(gate, 1, 10, GOOD) is None  # duplicate
+        assert _admit(gate, 1, 9, GOOD) is None  # out of order
         assert _counter("serve_readings_quarantined_total", rule="stale_day") == 2.0
-        assert gate.admit(1, 11, GOOD) is not None
+        assert _admit(gate, 1, 11, GOOD) is not None
 
     def test_days_independent_across_drives(self):
         gate = ReadingGate()
-        assert gate.admit(1, 10, GOOD) is not None
-        assert gate.admit(2, 5, GOOD) is not None
+        assert _admit(gate, 1, 10, GOOD) is not None
+        assert _admit(gate, 2, 5, GOOD) is not None
 
     def test_malformed_rejected(self):
         gate = ReadingGate()
-        assert gate.admit("not-a-serial", 1, GOOD) is None
-        assert gate.admit(1, 1, "not-a-dict") is None
-        assert _counter("serve_readings_quarantined_total", rule="malformed") == 2.0
+        assert _admit(gate, "not-a-serial", 1, GOOD) is None
+        assert _admit(gate, 1, 1, "not-a-dict") is None
+        assert _admit(gate, 1, 10.7, GOOD) is None  # used to truncate to day 10
+        assert _counter("serve_readings_quarantined_total", rule="malformed") == 3.0
 
     def test_non_numeric_value_rejected(self):
         gate = ReadingGate()
-        assert gate.admit(1, 1, {**GOOD, "s2_temperature": "hot"}) is None
+        assert _admit(gate, 1, 1, {**GOOD, "s2_temperature": "hot"}) is None
         assert (
             _counter("serve_readings_quarantined_total", rule="non_numeric") == 1.0
         )
 
     def test_nonfinite_repair_strips_the_entry(self):
         gate = ReadingGate(GatePolicy(nonfinite="repair"))
-        clean = gate.admit(1, 1, {**GOOD, "s2_temperature": math.nan})
+        clean = _admit(gate, 1, 1, {**GOOD, "s2_temperature": math.nan})
         assert clean is not None
         assert "s2_temperature" not in clean
         assert _counter("serve_readings_repaired_total", rule="nonfinite") == 1.0
 
     def test_nonfinite_drop_rejects_the_reading(self):
         gate = ReadingGate(GatePolicy(nonfinite="drop"))
-        assert gate.admit(1, 1, {**GOOD, "s2_temperature": math.inf}) is None
+        assert _admit(gate, 1, 1, {**GOOD, "s2_temperature": math.inf}) is None
         assert (
             _counter("serve_readings_quarantined_total", rule="nonfinite") == 1.0
         )
 
     def test_negative_events_clamped(self):
         gate = ReadingGate(GatePolicy(negative_events="repair"))
-        clean = gate.admit(1, 1, {**GOOD, "w161_fs_io_error": -3.0})
+        clean = _admit(gate, 1, 1, {**GOOD, "w161_fs_io_error": -3.0})
         assert clean["w161_fs_io_error"] == 0.0
         assert (
             _counter("serve_readings_repaired_total", rule="negative_events")
@@ -79,12 +94,12 @@ class TestGateRules:
 
     def test_negative_events_drop(self):
         gate = ReadingGate(GatePolicy(negative_events="drop"))
-        assert gate.admit(1, 1, {**GOOD, "w161_fs_io_error": -3.0}) is None
+        assert _admit(gate, 1, 1, {**GOOD, "w161_fs_io_error": -3.0}) is None
 
     def test_counter_reset_clamped_to_running_max(self):
         gate = ReadingGate(GatePolicy(counter_resets="repair"))
-        gate.admit(1, 1, {"s12_power_on_hours": 100.0})
-        clean = gate.admit(1, 2, {"s12_power_on_hours": 10.0})
+        _admit(gate, 1, 1, {"s12_power_on_hours": 100.0})
+        clean = _admit(gate, 1, 2, {"s12_power_on_hours": 10.0})
         assert clean["s12_power_on_hours"] == 100.0
         assert (
             _counter("serve_readings_repaired_total", rule="counter_reset")
@@ -93,42 +108,42 @@ class TestGateRules:
 
     def test_counter_reset_drop(self):
         gate = ReadingGate(GatePolicy(counter_resets="drop"))
-        gate.admit(1, 1, {"s12_power_on_hours": 100.0})
-        assert gate.admit(1, 2, {"s12_power_on_hours": 10.0}) is None
+        _admit(gate, 1, 1, {"s12_power_on_hours": 100.0})
+        assert _admit(gate, 1, 2, {"s12_power_on_hours": 10.0}) is None
 
     def test_dropped_reset_commits_no_other_maximum(self):
         """A reading dropped for one counter reset must not raise the
         running maximum of the counters checked before it."""
         gate = ReadingGate(GatePolicy(counter_resets="drop"))
-        gate.admit(1, 1, {"s6_data_units_read": 10.0, "s7_data_units_written": 10.0})
-        assert gate.admit(
-            1, 2, {"s6_data_units_read": 20.0, "s7_data_units_written": 5.0}
+        _admit(gate, 1, 1, {"s6_data_units_read": 10.0, "s7_data_units_written": 10.0})
+        assert _admit(
+            gate, 1, 2, {"s6_data_units_read": 20.0, "s7_data_units_written": 5.0}
         ) is None
-        clean = gate.admit(
-            1, 3, {"s6_data_units_read": 15.0, "s7_data_units_written": 12.0}
+        clean = _admit(
+            gate, 1, 3, {"s6_data_units_read": 15.0, "s7_data_units_written": 12.0}
         )
         assert clean == {"s6_data_units_read": 15.0, "s7_data_units_written": 12.0}
 
     def test_running_max_is_per_drive(self):
         gate = ReadingGate()
-        gate.admit(1, 1, {"s12_power_on_hours": 100.0})
-        clean = gate.admit(2, 1, {"s12_power_on_hours": 10.0})
+        _admit(gate, 1, 1, {"s12_power_on_hours": 100.0})
+        clean = _admit(gate, 2, 1, {"s12_power_on_hours": 10.0})
         assert clean["s12_power_on_hours"] == 10.0
 
     def test_alarmed_drive_skipped_not_quarantined(self):
         gate = ReadingGate(is_alarmed=lambda serial: serial == 7)
-        assert gate.admit(7, 1, GOOD) is None
+        assert _admit(gate, 7, 1, GOOD) is None
         assert _counter("serve_readings_skipped_alarmed_total") == 1.0
         assert gate.quarantine_counts == {}
 
     def test_drive_banned_after_repeated_quarantines(self):
         gate = ReadingGate(GatePolicy(quarantine_drive_after=3))
-        gate.admit(1, 5, GOOD)
+        _admit(gate, 1, 5, GOOD)
         for _ in range(3):
-            gate.admit(1, 5, GOOD)  # stale duplicates
+            _admit(gate, 1, 5, GOOD)  # stale duplicates
         assert 1 in gate.banned
         # even a valid reading is now rejected
-        assert gate.admit(1, 99, GOOD) is None
+        assert _admit(gate, 1, 99, GOOD) is None
         assert (
             _counter("serve_readings_quarantined_total", rule="banned_drive")
             == 1.0
@@ -140,18 +155,18 @@ class TestGateRules:
 
     def test_snapshot_roundtrip(self):
         gate = ReadingGate(GatePolicy(quarantine_drive_after=2))
-        gate.admit(1, 5, {"s12_power_on_hours": 100.0, **GOOD})
-        gate.admit(1, 5, GOOD)
-        gate.admit(1, 5, GOOD)  # banned now
+        _admit(gate, 1, 5, {"s12_power_on_hours": 100.0, **GOOD})
+        _admit(gate, 1, 5, GOOD)
+        _admit(gate, 1, 5, GOOD)  # banned now
         restored = ReadingGate(GatePolicy(quarantine_drive_after=2))
         restored.restore(gate.snapshot())
         assert restored.banned == gate.banned
         assert restored.last_day(1) == 5
         # the restored running max still clamps resets
-        clean = restored.admit(2, 1, {"s12_power_on_hours": 10.0})
+        clean = _admit(restored, 2, 1, {"s12_power_on_hours": 10.0})
         assert clean is not None
         # and the restored gate still rejects the banned drive
-        assert restored.admit(1, 99, GOOD) is None
+        assert _admit(restored, 1, 99, GOOD) is None
 
 
 class TestUnseenFirmware:
@@ -176,9 +191,11 @@ class TestUnseenFirmware:
 
     def test_gate_checks_the_vocabulary_before_committing(self):
         gate = ReadingGate(firmware_vocabulary=frozenset({"FW1"}))
-        self._assert_validated_before_commit(gate.admit, "FW1")
-        assert gate.admit(1, 7, {"firmware": ["unhashable"]}) is None
-        assert gate.admit(1, 8, {"s2_temperature": 40.0}) is not None
+        self._assert_validated_before_commit(
+            lambda *reading: _admit(gate, *reading), "FW1"
+        )
+        assert _admit(gate, 1, 7, {"firmware": ["unhashable"]}) is None
+        assert _admit(gate, 1, 8, {"s2_temperature": 40.0}) is not None
 
     def test_daemon_gate_uses_the_scorer_vocabulary(
         self, serve_models, serve_config
@@ -188,7 +205,8 @@ class TestUnseenFirmware:
         full, reduced = serve_models
         daemon = ServeDaemon.from_models(full, reduced, serve_config)
         self._assert_validated_before_commit(
-            daemon.gate.admit, full.firmware_encoder_.classes_[0]
+            lambda *reading: _admit(daemon.gate, *reading),
+            full.firmware_encoder_.classes_[0],
         )
 
 

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.client import ClientPredictor, _DriveState
+from repro.core.client import ClientPredictor, _DriveState, parse_readings
 from repro.core.pipeline import MFPA, MFPAConfig
 from repro.robustness.checkpoint import atomic_write, write_manifest
 from repro.robustness.degraded import fit_reduced_model
@@ -30,7 +30,7 @@ def scorer(serve_models):
 
 def _stage_one(scorer, serial, day, reading):
     """Stage a batch of one; return its (full_row, reduced_row)."""
-    rows, rejections = scorer.stage([serial], [day], [reading])
+    rows, rejections = scorer.stage(parse_readings([serial], [day], [reading]))
     if rejections:
         raise rejections[0]
     reduced_row = rows[0][scorer.reduced_index] if scorer.has_reduced else None
@@ -133,7 +133,7 @@ class TestGatheredReducedRoute:
         standalone = ClientPredictor.from_model(reduced, on_missing="impute")
         for batch in _batches(serve_readings, 8, 40):
             serials, days, readings = zip(*batch)
-            rows, rejections = scorer.stage(serials, days, readings)
+            rows, rejections = scorer.stage(parse_readings(serials, days, readings))
             expected, expected_rejections = standalone.ingest(serials, days, readings)
             assert rejections == expected_rejections == {}
             np.testing.assert_array_equal(rows[:, scorer.reduced_index], expected)
@@ -163,7 +163,7 @@ class TestGatheredReducedRoute:
         alone_reduced = ClientPredictor.from_model(reduced, on_missing="impute")
         for batch in _batches(serve_readings, 6, 12):
             serials, days, readings = zip(*batch)
-            rows, _ = scorer.stage(serials, days, readings)
+            rows, _ = scorer.stage(parse_readings(serials, days, readings))
             full_rows, _ = alone_full.ingest(serials, days, readings)
             reduced_rows, _ = alone_reduced.ingest(serials, days, readings)
             assert rows.shape[1] > full_rows.shape[1]
@@ -288,6 +288,11 @@ class TestParentLayoutCheckpoint:
         assert state["scorer"]["full"]["drives"]
 
 
+def _observe(freshness, reading):
+    """Observe a batch of one admitted reading."""
+    freshness.observe(parse_readings([1], [1], [reading]))
+
+
 class TestDimensionFreshness:
     W = {"w161_fs_io_error": 1.0}
     FULL = {
@@ -300,21 +305,21 @@ class TestDimensionFreshness:
     def test_fresh_until_threshold(self):
         freshness = DimensionFreshness(stale_after=3)
         for _ in range(2):
-            freshness.observe({"s2_temperature": 40.0})
+            _observe(freshness, {"s2_temperature": 40.0})
         assert freshness.stale_dimensions() == ()
-        freshness.observe({"s2_temperature": 40.0})
+        _observe(freshness, {"s2_temperature": 40.0})
         assert "W" in freshness.stale_dimensions()
 
     def test_reappearance_resets_streak(self):
         freshness = DimensionFreshness(stale_after=2)
-        freshness.observe({"s2_temperature": 40.0})
-        freshness.observe(self.FULL)  # W reappears
-        freshness.observe({"s2_temperature": 40.0})
+        _observe(freshness, {"s2_temperature": 40.0})
+        _observe(freshness, self.FULL)  # W reappears
+        _observe(freshness, {"s2_temperature": 40.0})
         assert "W" not in freshness.stale_dimensions()
 
     def test_all_dimensions_tracked_independently(self):
         freshness = DimensionFreshness(stale_after=1)
-        freshness.observe({"w161_fs_io_error": 1.0})
+        _observe(freshness, {"w161_fs_io_error": 1.0})
         stale = freshness.stale_dimensions()
         assert "W" not in stale
         assert "B" in stale and "firmware" in stale
@@ -322,11 +327,11 @@ class TestDimensionFreshness:
     def test_snapshot_roundtrip(self):
         freshness = DimensionFreshness(stale_after=5)
         for _ in range(3):
-            freshness.observe({"s2_temperature": 40.0})
+            _observe(freshness, {"s2_temperature": 40.0})
         restored = DimensionFreshness(stale_after=5)
         restored.restore(freshness.snapshot())
         for _ in range(2):
-            restored.observe({"s2_temperature": 40.0})
+            _observe(restored, {"s2_temperature": 40.0})
         assert "W" in restored.stale_dimensions()
 
     def test_invalid_construction(self):
