@@ -97,13 +97,9 @@ class ReadingBatch:
     def columns(self, names) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(values, present, non_numeric)`` over ``names``; a name no
         reading carries is an absent column."""
-        index = [self.position.get(name, -1) for name in names]
-        if -1 not in index:
-            non_numeric = self.non_numeric
-            return self.values[:, index], self.present[:, index], (
-                None if non_numeric is None else non_numeric[:, index]
-            )
-        index = np.array(index, dtype=np.intp)
+        index = np.array(
+            [self.position.get(name, -1) for name in names], dtype=np.intp
+        )
         have = index >= 0
         shape = (len(self), len(index))
         values = np.full(shape, math.nan)
@@ -126,7 +122,7 @@ def _integers(items, n: int, whole: bool) -> tuple[np.ndarray, np.ndarray]:
         array = None
     if array is not None and array.shape == (n,) and array.dtype.kind == "i":
         return array.astype(np.int64, copy=False), np.zeros(n, dtype=bool)
-    out = np.empty(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for i, item in enumerate(items):
         try:
@@ -151,13 +147,19 @@ def _float_matrix(rows: list, width: int) -> tuple[np.ndarray, np.ndarray | None
     """Rows of raw values as floats, with the cells ``float()`` refuses
     marked (NaN in the matrix)."""
     n = len(rows)
+    if n == 0 or width == 0:
+        return np.empty((n, width)), None
     non_numeric = np.zeros((n, width), dtype=bool)
     try:
-        values = np.array(rows, dtype=float).reshape(n, width)
+        values = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    # A cell that is itself a sequence adds a dimension; float() refuses it.
+    if values is not None and values.shape == (n, width):
         # numpy reads None as NaN where float() refuses it
         for i, j in zip(*np.nonzero(np.isnan(values))):
             non_numeric[i, j] = rows[i][j] is None
-    except (TypeError, ValueError, OverflowError):
+    else:
         values = np.empty((n, width))
         for i, row in enumerate(rows):
             for j, value in enumerate(row):
@@ -373,21 +375,15 @@ class _DriveTable:
         if self.fw_codes is None:
             return np.full(len(labels), np.nan)
         lookup = self.fw_codes.get
-        nan = math.nan
-        try:
-            codes = np.array(
-                [nan if label is None else lookup(label, -1.0) for label in labels]
-            )
-        except TypeError:  # an unhashable label: unseen
-            codes = np.full(len(labels), -1.0)
-            for i, label in enumerate(labels):
-                try:
-                    codes[i] = nan if label is None else lookup(label, -1.0)
-                except TypeError:
-                    pass
+        codes = np.full(len(labels), -1.0)
+        for i, label in enumerate(labels):
+            try:
+                codes[i] = math.nan if label is None else lookup(label, -1.0)
+            except TypeError:  # an unhashable label: unseen
+                pass
         for i in np.flatnonzero(codes < 0):
             errors.setdefault(int(i), ValueError(f"unseen label {labels[i]!r}"))
-        return codes.reshape(len(labels))
+        return codes
 
     def ingest(self, batch: ReadingBatch, impute: bool):
         """Commit a parsed batch; see :meth:`ClientPredictor.ingest`.

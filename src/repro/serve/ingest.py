@@ -276,16 +276,9 @@ class ReadingGate:
         return values, present & ~nonfinite, value_code, repairs
 
     def _unknown_firmware(self, labels: list) -> np.ndarray:
-        vocabulary = self._firmware_vocabulary
-        if vocabulary is None:
-            return np.zeros(len(labels), dtype=bool)
-        try:
-            unknown = [
-                label is not None and label not in vocabulary for label in labels
-            ]
-        except TypeError:  # an unhashable label
-            unknown = [not self._known_firmware(label) for label in labels]
-        return np.array(unknown, dtype=bool).reshape(len(labels))
+        return np.array(
+            [not self._known_firmware(label) for label in labels], dtype=bool
+        )
 
     def _known_firmware(self, label) -> bool:
         if label is None or self._firmware_vocabulary is None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import MFPA, MFPAConfig
-from repro.core.client import ClientPredictor
+from repro.core.client import NO_DAY, ClientPredictor, parse_readings
 from repro.telemetry.dataset import B_COLUMNS, W_COLUMNS
 from repro.telemetry.smart import SMART_COLUMNS
 
@@ -372,3 +372,14 @@ class TestNonFiniteValues:
             with pytest.raises(ValueError, match="non-finite"):
                 predictor.observe(serial, day, {**reading, column: np.inf})
         assert predictor.n_tracked_drives == 0
+
+
+def test_parse_readings_refuses_sequence_cells_and_zeroes_bad_serials():
+    batch = parse_readings(
+        [1, "x"], [3, 4.5], [{"s2_temperature": [40]}, {"s2_temperature": [41]}]
+    )
+    assert batch.non_numeric.tolist() == [[True], [True]]
+    assert np.isnan(batch.values).all()
+    assert batch.anonymous.tolist() == [False, True]
+    assert batch.serials.tolist() == [1, 0]
+    assert batch.days.tolist() == [3, NO_DAY]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.client import parse_readings
@@ -144,6 +144,13 @@ def _run_batch(gate, stream):
     policy=policies,
     alarmed=st.sets(st.sampled_from([1, 2, 3]), max_size=1),
     vocabulary=st.sampled_from([None, VOCABULARY]),
+)
+# every cell a one-element sequence: numpy would read the run as 3-D
+@example(
+    stream=[[(1, 1, {"s2_temperature": [1.0]})]],
+    policy=GatePolicy(),
+    alarmed=set(),
+    vocabulary=None,
 )
 def test_batch_gate_matches_per_reading_oracle(stream, policy, alarmed, vocabulary):
     def kwargs():
