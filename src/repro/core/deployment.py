@@ -188,50 +188,80 @@ def score_prepared_window(
     window) with a per-shard alarmed set, and because drives are scored
     independently the union of per-shard alarms equals the in-RAM
     monitor's window bit for bit.
+
+    Every call observes ``window_stage_seconds`` once per stage:
+    ``select`` (the window's rows, by one mask over the prepared
+    ``day``/``serial`` columns), ``score`` (the prediction pass) and
+    ``decide`` (first crossings and alarms).
     """
+    started = time.perf_counter()
     prepared = model.dataset_
-    row_slices = prepared._row_slices()
-    scored_serials: list[int] = []
-    scored_days: list[np.ndarray] = []
-    scored_indices: list[np.ndarray] = []
-    for serial in prepared.drives:
-        if serial in alarmed:
-            continue
-        rows = prepared.drive_rows(serial)
-        days = rows["day"]
-        in_window = (days >= start_day) & (days < end_day)
-        if not np.any(in_window):
-            continue
-        base = row_slices[serial].start
-        scored_serials.append(int(serial))
-        scored_days.append(days[in_window])
-        scored_indices.append(base + np.flatnonzero(in_window))
+    serial = prepared.columns["serial"]
+    day = prepared.columns["day"]
+    candidates = np.fromiter(
+        (s for s in prepared.drives if s not in alarmed), dtype=np.int64
+    )
+    rows = np.flatnonzero((day >= start_day) & (day < end_day))
+    rows = rows[np.isin(serial[rows], candidates)]
+    rows_serial = serial[rows]
+    n_scored = int(np.unique(rows_serial).size)
+    selected = time.perf_counter()
 
     alarms: list[Alarm] = []
-    n_scored = len(scored_serials)
+    probabilities = np.empty(0)
     if n_scored:
         # One batched prediction pass across every scored drive,
         # chunked over the worker pool when n_jobs > 1.
-        counts = np.array([indices.size for indices in scored_indices])
-        all_probabilities = predict_rows_parallel(
-            model, np.concatenate(scored_indices), n_jobs
+        probabilities = predict_rows_parallel(model, rows, n_jobs)
+    scored = time.perf_counter()
+
+    # Rows run in (serial, day) order, so the first crossing position
+    # of each serial is that drive's earliest threshold crossing.
+    crossing = np.flatnonzero(probabilities >= alarm_threshold)
+    crossed, first = np.unique(rows_serial[crossing], return_index=True)
+    first_crossing = dict(zip(crossed.tolist(), crossing[first].tolist()))
+    for drive in prepared.drives:
+        position = first_crossing.get(drive)
+        if position is None:
+            continue
+        alarms.append(
+            Alarm(
+                serial=int(drive),
+                day=int(day[rows[position]]),
+                probability=float(probabilities[position]),
+            )
         )
-        per_drive = np.split(all_probabilities, np.cumsum(counts)[:-1])
-        for serial, days, probabilities in zip(
-            scored_serials, scored_days, per_drive
-        ):
-            crossings = np.flatnonzero(probabilities >= alarm_threshold)
-            if crossings.size:
-                first = int(crossings[0])
-                alarms.append(
-                    Alarm(
-                        serial=serial,
-                        day=int(days[first]),
-                        probability=float(probabilities[first]),
-                    )
-                )
-                alarmed.add(serial)
+        alarmed.add(int(drive))
+    decided = time.perf_counter()
+    for stage, seconds in (
+        ("select", selected - started),
+        ("score", scored - selected),
+        ("decide", decided - scored),
+    ):
+        observe_histogram("window_stage_seconds", seconds, stage=stage)
     return alarms, n_scored
+
+
+def window_boundaries(
+    start_day: int, end_day: int, window_days: int
+) -> list[tuple[int, int]]:
+    """The ``[start, end)`` windows tiling ``[start_day, end_day)``.
+
+    The last window is clipped at ``end_day``. Raises ``ValueError``
+    naming the bad argument instead of returning no windows, which
+    would grade every failure in the horizon as missed.
+    """
+    if window_days < 1:
+        raise ValueError(f"window_days must be positive, got {window_days}")
+    if end_day <= start_day:
+        raise ValueError(
+            f"end_day must exceed start_day, got start_day={start_day}, "
+            f"end_day={end_day}"
+        )
+    return [
+        (day, min(day + window_days, end_day))
+        for day in range(start_day, end_day, window_days)
+    ]
 
 
 def plan_retrains(
@@ -509,7 +539,9 @@ def simulate_operation(
     the initial training entirely — the first window is scored without
     a ``fit()`` call.
     """
-    boundaries = list(range(start_day, end_day, window_days))
+    boundaries = window_boundaries(start_day, end_day, window_days)
+    if max_windows is not None and max_windows < 0:
+        raise ValueError(f"max_windows must be non-negative, got {max_windows}")
     windows: list[MonitoringWindow] = []
     monitor = None
     if checkpoint_dir is not None and resume:
@@ -543,12 +575,10 @@ def simulate_operation(
         else:
             monitor.start(dataset, train_end_day=start_day)
 
-    for window_start in boundaries[len(windows):]:
+    for window_start, window_end in boundaries[len(windows):]:
         if max_windows is not None and len(windows) >= max_windows:
             break
-        windows.append(
-            monitor.score_window(window_start, min(window_start + window_days, end_day))
-        )
+        windows.append(monitor.score_window(window_start, window_end))
         if checkpoint_dir is not None:
             from repro.robustness.checkpoint import save_checkpoint
 

@@ -11,6 +11,7 @@ sequence model (CNN_LSTM).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -126,23 +127,26 @@ class FeatureAssembler:
         missing = [c for c in self.columns if c not in dataset_columns]
         if missing:
             raise KeyError(f"dataset is missing feature columns {missing}")
-        base = np.column_stack(
-            [dataset_columns[column] for column in self.columns]
-        ).astype(float)
         if self.history_length == 1:
-            return base[row_indices]
-
-        serial = np.asarray(dataset_columns["serial"])
-        # Rows are sorted by (serial, day), so each drive is one
-        # contiguous run; its first row bounds how far history may walk
-        # back. Clamping to that start replaces the data-dependent
-        # walk-forward loop with one searchsorted over the run starts.
-        drive_starts = np.flatnonzero(np.r_[True, serial[1:] != serial[:-1]])
-        row_starts = drive_starts[
-            np.searchsorted(drive_starts, row_indices, side="right") - 1
-        ]
-        blocks = [
-            base[np.maximum(row_indices - offset, row_starts)]
-            for offset in range(self.history_length - 1, -1, -1)
-        ]
-        return np.concatenate(blocks, axis=1)
+            blocks = [row_indices]
+        else:
+            serial = np.asarray(dataset_columns["serial"])
+            # Rows are sorted by (serial, day), so each drive is one
+            # contiguous run; its first row bounds how far history may
+            # walk back. Clamping to that start replaces the
+            # data-dependent walk-forward loop with one searchsorted
+            # over the run starts.
+            drive_starts = np.flatnonzero(np.r_[True, serial[1:] != serial[:-1]])
+            row_starts = drive_starts[
+                np.searchsorted(drive_starts, row_indices, side="right") - 1
+            ]
+            blocks = [
+                np.maximum(row_indices - offset, row_starts)
+                for offset in range(self.history_length - 1, -1, -1)
+            ]
+        # Gather only the requested rows, one column at a time, straight
+        # into the output: the fleet-wide matrix is never built.
+        X = np.empty((row_indices.shape[0], self.n_features))
+        for k, (rows, column) in enumerate(product(blocks, self.columns)):
+            X[:, k] = dataset_columns[column][rows]
+        return X

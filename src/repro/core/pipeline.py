@@ -492,6 +492,7 @@ class MFPA:
         config = self.config
         prepared = self.dataset_
         row_slices = prepared._row_slices()
+        day = prepared.columns["day"]
 
         drive_truth: list[int] = []
         drive_row_indices: list[np.ndarray] = []
@@ -500,8 +501,8 @@ class MFPA:
 
         faulty_serials = set(self.failure_times_)
         for target_serial in prepared.drives:
-            rows = prepared.drive_rows(target_serial)
-            drive_days = rows["day"]
+            row_slice = row_slices[target_serial]
+            drive_days = day[row_slice]
             if target_serial in faulty_serials:
                 failure_time = self.failure_times_[target_serial]
                 if not start_day <= failure_time < end_day:
@@ -520,9 +521,8 @@ class MFPA:
                 truth = 0
                 n_healthy += 1
 
-            base = row_slices[target_serial].start
             drive_truth.append(truth)
-            drive_row_indices.append(base + np.flatnonzero(in_window))
+            drive_row_indices.append(row_slice.start + np.flatnonzero(in_window))
 
         if n_faulty == 0 and n_healthy == 0:
             raise ValueError(f"no drives to evaluate in [{start_day}, {end_day})")

@@ -202,6 +202,9 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
      "age of the live persistent pool since its last fork", None, True),
     ("window_score_seconds", "histogram",
      "wall-clock per FleetMonitor.score_window call", SECONDS_BUCKETS, True),
+    ("window_stage_seconds", "histogram",
+     "wall-clock per monitor window stage (select, score, decide), "
+     "observed once per scored window, by stage", SECONDS_BUCKETS, False),
     ("cv_fold_fit_seconds", "histogram",
      "wall-clock per (candidate, fold) fit-and-score", SECONDS_BUCKETS, True),
     ("selection_candidate_seconds", "histogram",

@@ -47,6 +47,7 @@ from repro.core.deployment import (
     plan_retrains,
     score_prepared_window,
     summarize_windows,
+    window_boundaries,
 )
 from repro.core.pipeline import MFPA, MFPAConfig
 from repro.obs import inc_counter, observe_histogram, trace_span
@@ -345,10 +346,9 @@ class ShardedFleetMonitor:
         ``max_shards`` stops the replay early (a controlled "crash")
         after that many total shards, returning a partial summary.
         """
-        boundaries = [
-            (day, min(day + window_days, end_day))
-            for day in range(start_day, end_day, window_days)
-        ]
+        boundaries = window_boundaries(start_day, end_day, window_days)
+        if max_shards is not None and max_shards < 0:
+            raise ValueError(f"max_shards must be non-negative, got {max_shards}")
         directory = Path(checkpoint_dir) if checkpoint_dir is not None else None
         params = self._run_params(start_day, end_day, window_days)
         restored = None

@@ -12,6 +12,7 @@ from repro.core.deployment import (
     summarize_windows,
 )
 from repro.core.pipeline import MFPAConfig
+from repro.ml.forest import RandomForestClassifier
 
 
 class TestRetrainPolicy:
@@ -189,6 +190,36 @@ class TestSimulateOperation:
             small_fleet, start_day=240, end_day=360, alarm_threshold=0.95
         )
         assert strict.n_alarms <= lenient.n_alarms
+
+    @pytest.mark.parametrize(
+        "arguments, named",
+        [
+            ({"window_days": -30}, "window_days"),
+            ({"window_days": 0}, "window_days"),
+            ({"start_day": 300, "end_day": 300}, "end_day"),
+            ({"start_day": 360, "end_day": 240}, "end_day"),
+            ({"max_windows": -1}, "max_windows"),
+        ],
+    )
+    def test_bad_window_arguments_raise(self, small_fleet, arguments, named):
+        # A bad tiling used to return zero windows and grade every
+        # failure in the horizon as missed (recall 0.0).
+        with pytest.raises(ValueError, match=named):
+            simulate_operation(
+                small_fleet, **{"start_day": 240, "end_day": 360, **arguments}
+            )
+
+    def test_zero_max_windows_stops_before_first_window(self, small_fleet):
+        summary = simulate_operation(
+            small_fleet,
+            config=MFPAConfig(
+                algorithm=RandomForestClassifier(n_estimators=4, max_depth=4, seed=0)
+            ),
+            start_day=240,
+            end_day=360,
+            max_windows=0,
+        )
+        assert summary.windows == []
 
     def test_empty_alarm_precision_nan(self):
         from repro.core.deployment import OperationSummary

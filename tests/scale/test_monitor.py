@@ -75,3 +75,18 @@ def test_sharded_monitor_matches_in_ram(shard_store, batch_summary, n_jobs):
 def test_alarm_threshold_validated(shard_store):
     with pytest.raises(ValueError, match="alarm_threshold"):
         ShardedFleetMonitor(shard_store, alarm_threshold=1.5)
+
+
+@pytest.mark.parametrize(
+    "arguments, named",
+    [
+        ({"window_days": -30}, "window_days"),
+        ({"window_days": 0}, "window_days"),
+        ({"start_day": END, "end_day": START}, "end_day"),
+        ({"max_shards": -1}, "max_shards"),
+    ],
+)
+def test_bad_window_arguments_raise(shard_store, arguments, named):
+    monitor = ShardedFleetMonitor(shard_store, config=cheap_config())
+    with pytest.raises(ValueError, match=named):
+        monitor.run(**{"start_day": START, "end_day": END, **arguments})

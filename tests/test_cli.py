@@ -167,6 +167,21 @@ class TestMonitor:
         # resume finds all windows already scored and reports the same run
         assert second == first
 
+    def test_bad_window_days_is_reported(self, saved_fleet):
+        with pytest.raises(ValueError, match="window_days"):
+            main(
+                [
+                    "monitor",
+                    str(saved_fleet),
+                    "--start-day",
+                    "120",
+                    "--end-day",
+                    "200",
+                    "--window-days",
+                    "0",
+                ]
+            )
+
 
 class TestValidationFlags:
     def test_validate_flag_passes_clean_dataset(self, saved_fleet, capsys):
