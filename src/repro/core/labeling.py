@@ -106,6 +106,27 @@ class SampleSet:
         )
 
 
+def late_failure_mask(
+    failure_times: dict[int, int], serials: np.ndarray, day: int
+) -> np.ndarray:
+    """``failure_times.get(serial, -1) >= day`` for every serial.
+
+    Marks the samples of drives whose identified failure falls on or
+    after ``day`` — their pre-failure window lies beyond a training
+    horizon at ``day``. A drive without a failure time counts as
+    failing on day -1, so for ``day <= -1`` it is late as well.
+    """
+    n_failed = len(failure_times)
+    failed = np.fromiter(failure_times, dtype=np.int64, count=n_failed)
+    failure_days = np.fromiter(
+        failure_times.values(), dtype=np.int64, count=n_failed
+    )
+    late = np.isin(serials, failed[failure_days >= day])
+    if day <= -1:
+        late |= ~np.isin(serials, failed)
+    return late
+
+
 def build_samples(
     dataset: TelemetryDataset,
     failure_times: dict[int, int],

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.features import FeatureAssembler, feature_group
-from repro.core.labeling import FailureTimeIdentifier, SampleSet, build_samples
+from repro.core.labeling import (
+    FailureTimeIdentifier,
+    SampleSet,
+    build_samples,
+    late_failure_mask,
+)
 from repro.core.preprocess import preprocess
 from repro.core.selection import SequentialForwardSelector, youden_score
 from repro.core.splitting import TimeSeriesCrossValidator
@@ -324,11 +329,8 @@ class MFPA:
         future.
         """
         train_mask = samples.days < train_end_day
-        late_failure = np.array(
-            [
-                self.failure_times_.get(int(s), -1) >= train_end_day
-                for s in samples.serials
-            ]
+        late_failure = late_failure_mask(
+            self.failure_times_, samples.serials, train_end_day
         )
         train = samples.subset(np.flatnonzero(train_mask & ~late_failure))
         if train.n_positive == 0:

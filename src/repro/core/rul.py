@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from repro.core.features import FeatureAssembler, feature_group
-from repro.core.labeling import FailureTimeIdentifier
+from repro.core.labeling import FailureTimeIdentifier, late_failure_mask
 from repro.core.preprocess import preprocess
 from repro.ml.forest import RandomForestRegressor
 from repro.telemetry.dataset import TelemetryDataset
@@ -116,11 +116,8 @@ class RULRegressor:
         rows, targets = self._targets(prepared, self.failure_times_)
         in_training = prepared.columns["day"][rows] < train_end_day
         # Exclude post-cutoff failures' windows entirely.
-        late = np.array(
-            [
-                self.failure_times_.get(int(s), -1) >= train_end_day
-                for s in prepared.columns["serial"][rows]
-            ]
+        late = late_failure_mask(
+            self.failure_times_, prepared.columns["serial"][rows], train_end_day
         )
         keep = in_training & ~late
         rows, targets = rows[keep], targets[keep]

@@ -20,8 +20,9 @@ A criterion supplies leaf values, the purity test, the per-cut gains
 of both split searches, the histogram build and cut scan, and that
 acceptance rule. The split search is chosen per fit:
 
-* ``split_algorithm="exact"`` (default) — sort once per feature per
-  node, evaluate every cut with prefix sums. Bit-reproducible reference.
+* ``split_algorithm="exact"`` (default) — sort every candidate feature
+  of a node as one ``(n_node, n_candidates)`` block and evaluate every
+  cut with prefix sums. Bit-reproducible reference.
 * ``split_algorithm="hist"`` — LightGBM-style histogram search over a
   :class:`repro.ml.binning.BinnedDataset`: features are quantile-binned
   once into uint8 codes, each node accumulates per-bin masses with
@@ -45,6 +46,12 @@ _NO_SPLIT = -1
 #: Below this size the smaller child's histograms are cheaper to rebuild
 #: on demand than to precompute and carry on the growth stack.
 _SUBTRACTION_MIN_ROWS = 64
+
+#: Cell budget of one exact split block: a node's candidate features are
+#: scored in column blocks of at most ``max(1, _MAX_SPLIT_CELLS // n_node)``
+#: features, so the block's handful of ``(n_node, block)`` temporaries
+#: stay bounded however many rows and features the node has.
+_MAX_SPLIT_CELLS = 1 << 20
 
 _SPLIT_ALGORITHMS = ("exact", "hist")
 
@@ -210,6 +217,23 @@ def _binned_for_fit(
     return binned
 
 
+def _check_sample_weight(sample_weight, n_samples: int) -> np.ndarray:
+    """Caller-supplied weights as a float vector a weighted gini can use."""
+    sample_weight = np.asarray(sample_weight, dtype=float)
+    if sample_weight.shape != (n_samples,):
+        raise ValueError(
+            f"sample_weight must have shape ({n_samples},), "
+            f"got {sample_weight.shape}"
+        )
+    if not np.all(np.isfinite(sample_weight)):
+        raise ValueError("sample_weight contains NaN or infinite values")
+    if np.any(sample_weight < 0):
+        raise ValueError("sample_weight must be non-negative")
+    if not sample_weight.sum() > 0:
+        raise ValueError("sample_weight must have a positive total")
+    return sample_weight
+
+
 def _resolve_max_features(max_features, n_features: int) -> int:
     """Translate a max_features spec into a concrete count."""
     if max_features is None:
@@ -290,6 +314,37 @@ def _gini_gains(
     return np.where(valid, parent_impurity - weighted, -np.inf)
 
 
+def _binary_gini_gains(
+    left0: np.ndarray,
+    left1: np.ndarray,
+    left_mass: np.ndarray,
+    class_mass: np.ndarray,
+    total_mass: float,
+    parent_impurity: float,
+    valid: np.ndarray,
+) -> np.ndarray:
+    """:func:`_gini_gains` for two unweighted classes, class axis unrolled.
+
+    The same float operations in the same order, so the gains are
+    bit-identical, without the ``(..., 2)`` class-mass temporaries.
+    ``left0``/``left1`` hold each cut's left class masses and
+    ``left_mass`` their sum, all exact integers; ``valid`` must already
+    exclude cuts that leave a side empty.
+    """
+    right_mass = total_mass - left_mass
+    right0 = class_mass[0] - left0
+    right1 = class_mass[1] - left1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_impurity = 1.0 - ((left0 / left_mass) ** 2 + (left1 / left_mass) ** 2)
+        right_impurity = 1.0 - (
+            (right0 / right_mass) ** 2 + (right1 / right_mass) ** 2
+        )
+        weighted = (
+            left_mass * left_impurity + right_mass * right_impurity
+        ) / total_mass
+    return np.where(valid, parent_impurity - weighted, -np.inf)
+
+
 def _sse_gains(
     left_sum: np.ndarray, left_n: np.ndarray, total: float, n: int, valid: np.ndarray
 ) -> np.ndarray:
@@ -310,7 +365,8 @@ class _Gini:
     leaner histogram layout — ``(mass0, mass1, counts)`` instead of a
     dense ``(f, n_bins, n_classes)`` block — whose cut scan also yields
     both children's class masses, so their leaf values and purity need
-    no pass over the rows.
+    no pass over the rows. Their exact search sums only the positive
+    indicator. Both feed :func:`_binary_gini_gains`.
     """
 
     def __init__(
@@ -349,9 +405,37 @@ class _Gini:
         return gain if gain > 0 else None
 
     def exact_gains(self, indices: np.ndarray):
-        """Gain function ``(order, valid) -> gains`` for one node's cuts."""
+        """Gain function ``(order, valid) -> gains`` for one node's cuts.
+
+        Column ``j`` of the ``(n, m)`` ``order`` sorts the node's rows by
+        the ``j``-th candidate feature; ``valid`` and the returned gains
+        are ``(n - 1, m)``, row ``k - 1`` being the "first ``k`` rows go
+        left" cut.
+        """
         node_y = self.y_codes[indices]
         n = node_y.size
+        if self.binary:
+            class_mass = self._class_mass(indices)
+            total_mass = class_mass.sum()
+            parent_impurity = 1.0 - np.sum((class_mass / total_mass) ** 2)
+            positive = node_y == 1
+            left_mass = np.arange(1.0, n)[:, None]
+
+            def binary_gains(order: np.ndarray, valid: np.ndarray) -> np.ndarray:
+                # Only the positive indicator is summed: the negatives
+                # are the rest of each prefix. Both stay exact integers.
+                left1 = np.cumsum(positive[order[:-1]], axis=0, dtype=float)
+                return _binary_gini_gains(
+                    left_mass - left1,
+                    left1,
+                    left_mass,
+                    class_mass,
+                    total_mass,
+                    parent_impurity,
+                    valid,
+                )
+
+            return binary_gains
         weights = (
             np.ones(n) if self.sample_weight is None else self.sample_weight[indices]
         )
@@ -363,7 +447,7 @@ class _Gini:
 
         def gains(order: np.ndarray, valid: np.ndarray) -> np.ndarray:
             # Prefix class masses for every "first k rows go left" cut.
-            left = np.cumsum(one_hot[order], axis=0)[:-1]
+            left = np.cumsum(one_hot[order[:-1]], axis=0)
             return _gini_gains(left, counts, total_mass, parent_impurity, valid)
 
         return gains
@@ -415,31 +499,19 @@ class _Gini:
             left = np.cumsum(mass[:, :-1, :], axis=1)
             gain = _gini_gains(left, class_mass, total_mass, parent_impurity, valid)
             return (*_best_cut(gain), None)
-        # Two classes, unweighted: the same arithmetic (in the same float
-        # operation order) as _gini_gains with the class axis unrolled,
-        # so the chosen cut is bit-identical — without the (f, n_bins, 2)
-        # temporaries. Unweighted means the class masses double as
-        # sample counts for the leaf-size floor.
+        # Two classes, unweighted: the class masses double as sample
+        # counts for the leaf-size floor.
         left0 = np.cumsum(hists[0][:, :-1], axis=1)
         left1 = np.cumsum(hists[1][:, :-1], axis=1)
         left_mass = left0 + left1
-        right_mass = total_mass - left_mass
-        valid = (left_mass >= min_samples_leaf) & (right_mass >= min_samples_leaf)
+        valid = (left_mass >= min_samples_leaf) & (
+            total_mass - left_mass >= min_samples_leaf
+        )
         if not np.any(valid):
             return None
-        right0 = class_mass[0] - left0
-        right1 = class_mass[1] - left1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left_impurity = 1.0 - (
-                (left0 / left_mass) ** 2 + (left1 / left_mass) ** 2
-            )
-            right_impurity = 1.0 - (
-                (right0 / right_mass) ** 2 + (right1 / right_mass) ** 2
-            )
-            weighted = (
-                left_mass * left_impurity + right_mass * right_impurity
-            ) / total_mass
-        gain = np.where(valid, parent_impurity - weighted, -np.inf)
+        gain = _binary_gini_gains(
+            left0, left1, left_mass, class_mass, total_mass, parent_impurity, valid
+        )
         local_feature, cut_bin, best = _best_cut(gain)
         left_class_mass = np.array(
             [left0[local_feature, cut_bin], left1[local_feature, cut_bin]]
@@ -472,14 +544,16 @@ class _SSE:
         return gain if gain > 0 else None
 
     def exact_gains(self, indices: np.ndarray):
-        """Gain function ``(order, valid) -> gains`` for one node's cuts."""
+        """Gain function ``(order, valid) -> gains`` for one node's cuts
+        (layout as in :meth:`_Gini.exact_gains`)."""
         node_y = self.y[indices]
         n = node_y.size
         total = node_y.sum()
-        k = np.arange(1, n)
+        k = np.arange(1, n)[:, None]
 
         def gains(order: np.ndarray, valid: np.ndarray) -> np.ndarray:
-            return _sse_gains(np.cumsum(node_y[order])[:-1], k, total, n, valid)
+            left_sum = np.cumsum(node_y[order[:-1]], axis=0)
+            return _sse_gains(left_sum, k, total, n, valid)
 
         return gains
 
@@ -517,28 +591,41 @@ def _exact_split(
 ) -> tuple[int, float, float]:
     """Best ``(feature, threshold, gain)`` over every distinct-value cut.
 
-    Returns gain ``-inf`` (with feature -1) when no cut respects the
-    leaf-size floor; the criterion's acceptance rule rejects it.
+    The candidates are scored in column blocks of at most
+    ``_MAX_SPLIT_CELLS // n`` features: one stable sort of the block's
+    ``(n, block)`` values, one ``(n - 1, block)`` gain grid. The first
+    candidate (in draw order) reaching the best gain wins, and within a
+    feature the lowest cut, as a per-feature loop with a strict ``>``
+    would pick. Returns gain ``-inf`` (with feature -1) when no cut
+    respects the leaf-size floor; the criterion's acceptance rule
+    rejects it.
     """
     gains = criterion.exact_gains(indices)
     n = indices.size
     k = np.arange(1, n)
-    size_ok = (k >= min_samples_leaf) & (n - k >= min_samples_leaf)
+    size_ok = ((k >= min_samples_leaf) & (n - k >= min_samples_leaf))[:, None]
+    rows = indices[:, None]
+    width = max(1, _MAX_SPLIT_CELLS // n)
     best_feature, best_threshold, best_gain = _NO_SPLIT, 0.0, -np.inf
-    for feature in candidates:
-        values = X[indices, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
+    for start in range(0, candidates.size, width):
+        block = candidates[start : start + width]
+        values = X[rows, block]
+        order = values.argsort(axis=0, kind="stable")
+        columns = np.arange(block.size)
+        sorted_values = values[order, columns]
         valid = (sorted_values[:-1] < sorted_values[1:]) & size_ok
-        if not np.any(valid):
+        if not valid.any():
             continue
         gain = gains(order, valid)
-        best_index = int(np.argmax(gain))
-        if gain[best_index] > best_gain:
-            best_gain = float(gain[best_index])
-            best_feature = int(feature)
+        cuts = gain.argmax(axis=0)
+        column_best = gain[cuts, columns]
+        column = int(column_best.argmax())
+        if column_best[column] > best_gain:
+            cut = cuts[column]
+            best_gain = float(column_best[column])
+            best_feature = int(block[column])
             best_threshold = float(
-                (sorted_values[best_index] + sorted_values[best_index + 1]) / 2.0
+                (sorted_values[cut, column] + sorted_values[cut + 1, column]) / 2.0
             )
     return best_feature, best_threshold, best_gain
 
@@ -563,7 +650,7 @@ def _grow(
     # exactly when every node considers every feature.
     subtraction = binned is not None and n_candidates == n_features
     importances = np.zeros(n_features)
-    hist_nodes = 0
+    exact_nodes = hist_nodes = 0
 
     def searchable(indices: np.ndarray, depth: int, mass=None) -> bool:
         if indices.size < min_samples_split:
@@ -589,6 +676,7 @@ def _grow(
             candidates = np.arange(n_features)
         child_masses = None
         if binned is None:
+            exact_nodes += 1
             feature, threshold, gain = _exact_split(
                 X, indices, candidates, min_samples_leaf, criterion
             )
@@ -652,6 +740,8 @@ def _grow(
         if right_ok:
             stack.append((right, right_indices, depth + 1, right_hists))
 
+    if exact_nodes:
+        inc_counter("tree_exact_nodes_total", exact_nodes)
     if hist_nodes:
         inc_counter("tree_hist_nodes_total", hist_nodes)
     tree.finalize()
@@ -739,6 +829,8 @@ class DecisionTreeClassifier(BaseClassifier):
         self.n_features_ = X.shape[1]
         if sample_weight is None:
             sample_weight = self._sample_weights(y, y_codes)
+        else:
+            sample_weight = _check_sample_weight(sample_weight, y.shape[0])
         if sample_weight is not None and np.ptp(sample_weight) == 0:
             # Uniform weights are exactly the unweighted problem; taking
             # the unweighted path keeps the grown tree bit-identical

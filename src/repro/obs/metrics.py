@@ -160,6 +160,8 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
      "decision trees grown by the random forests", None, True),
     ("gbdt_boosting_rounds_total", "counter",
      "boosting rounds run by GradientBoostingClassifier", None, True),
+    ("tree_exact_nodes_total", "counter",
+     "tree nodes split-searched by the exact backend", None, True),
     ("tree_hist_nodes_total", "counter",
      "tree nodes split-searched by the histogram backend", None, True),
     ("tree_bin_cache_hits_total", "counter",

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.labeling import FailureTimeIdentifier, SampleSet, build_samples
+from repro.core.labeling import (
+    FailureTimeIdentifier,
+    SampleSet,
+    build_samples,
+    late_failure_mask,
+)
 from repro.core.preprocess import preprocess
 
 
@@ -137,3 +144,26 @@ class TestBuildSamples:
             build_samples(prepared, failure_times, positive_window=0)
         with pytest.raises(ValueError):
             build_samples(prepared, failure_times, lookahead=-1)
+
+
+class TestLateFailureMask:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        failure_times=st.dictionaries(
+            st.integers(0, 30), st.integers(-5, 40), max_size=12
+        ),
+        serials=st.lists(st.integers(0, 40), max_size=30),
+        day=st.integers(-8, 45),
+    )
+    def test_matches_dict_lookup(self, failure_times, serials, day):
+        serials = np.array(serials, dtype=np.int64)
+        expected = [failure_times.get(int(s), -1) >= day for s in serials]
+        late = late_failure_mask(failure_times, serials, day)
+        assert late.dtype == bool
+        assert late.tolist() == expected
+
+    def test_unfailed_drives_are_late_only_before_day_zero(self):
+        serials = np.array([1, 2, 3])
+        assert late_failure_mask({1: 5}, serials, -1).tolist() == [True] * 3
+        assert late_failure_mask({1: 5}, serials, 0).tolist() == [True, False, False]
+        assert late_failure_mask({1: 5}, serials, 6).tolist() == [False] * 3

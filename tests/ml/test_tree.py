@@ -8,6 +8,7 @@ from repro.ml.tree import (
     DecisionTreeRegressor,
     _resolve_max_features,
 )
+from repro.obs import get_registry
 
 
 class TestClassificationTree:
@@ -83,6 +84,58 @@ class TestClassificationTree:
         a = DecisionTreeClassifier(max_features="sqrt", seed=5).fit(X, y)
         b = DecisionTreeClassifier(max_features="sqrt", seed=5).fit(X, y)
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
+
+
+class TestSearchedNodeCounters:
+    @pytest.mark.parametrize("split_algorithm", ["exact", "hist"])
+    def test_one_count_per_searched_node(self, split_algorithm):
+        # The root splits; both children are pure, so only the root is
+        # searched — by the fit's backend alone.
+        X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+        y = np.array([0, 0, 0, 1, 1, 1])
+        registry = get_registry()
+        registry.reset()
+        DecisionTreeClassifier(split_algorithm=split_algorithm).fit(X, y)
+        counts = {
+            backend: registry.counter(f"tree_{backend}_nodes_total").value
+            for backend in ("exact", "hist")
+        }
+        other = "hist" if split_algorithm == "exact" else "exact"
+        assert counts == {split_algorithm: 1, other: 0}
+
+
+class TestSampleWeightValidation:
+    @pytest.fixture
+    def data(self):
+        X = np.arange(20, dtype=float).reshape(10, 2)
+        y = np.array([0, 1] * 5)
+        return X, y
+
+    def _fit(self, data, sample_weight):
+        X, y = data
+        return DecisionTreeClassifier().fit(X, y, sample_weight=sample_weight)
+
+    def test_wrong_shape_rejected(self, data):
+        # Uniform, so it must not be mistaken for "unweighted".
+        with pytest.raises(ValueError, match="sample_weight"):
+            self._fit(data, np.ones(9))
+
+    def test_non_finite_rejected(self, data):
+        for bad in (np.nan, np.inf):
+            weights = np.ones(10)
+            weights[3] = bad
+            with pytest.raises(ValueError, match="sample_weight"):
+                self._fit(data, weights)
+
+    def test_negative_rejected(self, data):
+        weights = np.ones(10)
+        weights[0] = -0.5
+        with pytest.raises(ValueError, match="sample_weight"):
+            self._fit(data, weights)
+
+    def test_non_positive_total_rejected(self, data):
+        with pytest.raises(ValueError, match="sample_weight"):
+            self._fit(data, np.zeros(10))
 
 
 class TestRegressionTree:
