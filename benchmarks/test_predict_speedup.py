@@ -2,20 +2,25 @@
 
 Times drive scoring through the seed per-tree loop ("exact"), the
 contiguous-arena float engine, and the binned code-descent engine at
-three batch shapes, plus the cold-start comparison the artifact layer
+four batch shapes, plus the cold-start comparison the artifact layer
 exists for: seconds from process start to the first scored window when
-the model is refit versus loaded from a versioned artifact. Results
-land in ``benchmarks/results/predict_speedup.json`` so the inference
-fast path is tracked alongside the training-side exhibits.
+the model is refit versus loaded from a versioned artifact. Each shape
+also times the binned engine with each arena walk forced — lanes and
+row partition — and records the walk the arena's own rule picks
+(``ForestArena.partition_min_rows``). Results land in
+``benchmarks/results/predict_speedup.json`` so the inference fast path
+is tracked alongside the training-side exhibits.
 
-The headline shape is 1024 rows — the serve daemon and the sharded
-monitor both score windows of roughly that size, so that is the regime
-the ``>= 2x`` gate pins. The arena's advantage shrinks as batches grow
-(the seed loop's per-tree Python overhead amortizes away), which is why
-the large-batch row is recorded but not gated.
+The serve daemon scores batches of at most 512 rows; the in-RAM
+monitor scores about 19k rows per 30-day window of an 800-drive fleet,
+which the 16,384-row shape stands in for. The ``>= 2x`` gate stays at
+1024 rows, the small-batch regime where the arena's win over the
+per-tree loop is largest. That advantage shrinks as batches grow (the
+seed loop's per-tree Python overhead amortizes away), which is why the
+large-batch rows are recorded but not gated.
 
-Engine parity is asserted bit-for-bit here as well: a speedup measured
-on diverging outputs would be meaningless.
+Engine and walk parity is asserted bit-for-bit here as well: a speedup
+measured on diverging outputs would be meaningless.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 import pytest
 
 from benchmarks._util import RESULTS_DIR, save_exhibit
+from repro.ml import arena
 from repro.ml.arena import set_inference_mode
 from repro.ml.artifact import load_model, save_model
 from repro.ml.forest import RandomForestClassifier
@@ -35,12 +41,14 @@ from repro.reporting import render_table
 
 pytestmark = pytest.mark.predict_bench
 
-#: The serve/shard window regime the acceptance gate is measured at.
+#: The small-batch regime the acceptance gate is measured at.
 WINDOW_ROWS = 1024
 #: Minimum drives/second win the binned arena must post at WINDOW_ROWS.
 REQUIRED_SPEEDUP = 2.0
+#: Rows the in-RAM monitor scores per window, to the nearest power of 2.
+MONITOR_ROWS = 16384
 #: Batch shapes covered (rows per predict call).
-BATCH_SHAPES = (256, WINDOW_ROWS, 8192)
+BATCH_SHAPES = (256, WINDOW_ROWS, 8192, MONITOR_ROWS)
 #: Timing repeats; best-of keeps allocator/GC noise out of the ratios.
 REPEATS = 9
 
@@ -79,34 +87,55 @@ def _with_mode(mode, fn):
         set_inference_mode(previous)
 
 
+def _with_walk(min_rows, fn):
+    """Run ``fn`` with every chunk of ``min_rows`` or more partitioned."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arena, "_PARTITION_MIN_ROWS", min_rows)
+        patch.setattr(arena, "_PARTITION_LANE_STEPS_PER_NODE", 0)
+        return fn()
+
+
 def _bench_engines(model, n_features):
     records = []
     for n_rows in BATCH_SHAPES:
         rows = np.random.default_rng(n_rows).normal(
             scale=2.0, size=(n_rows, n_features)
         )
-        # Parity first; these calls also build and cache the arena so
-        # its one-time construction stays out of the timings below.
+
+        def binned():
+            return _with_mode("binned", lambda: model.predict_proba(rows))
+
+        # Parity first; these calls also build and cache the arena (and
+        # its partition programs) so one-time construction stays out of
+        # the timings below.
         exact = _with_mode("exact", lambda: model.predict_proba(rows))
         for mode in ("float", "binned"):
             np.testing.assert_array_equal(
                 _with_mode(mode, lambda: model.predict_proba(rows)), exact
             )
+        for min_rows in (0, n_rows + 1):
+            np.testing.assert_array_equal(_with_walk(min_rows, binned), exact)
+        partition_min_rows = model._arena_.partition_min_rows()
         exact_seconds = _timed_best(
             lambda: _with_mode("exact", lambda: model.predict_proba(rows))
         )
         float_seconds = _timed_best(
             lambda: _with_mode("float", lambda: model.predict_proba(rows))
         )
-        binned_seconds = _timed_best(
-            lambda: _with_mode("binned", lambda: model.predict_proba(rows))
-        )
+        binned_seconds = _timed_best(binned)
+        lane_seconds = _timed_best(lambda: _with_walk(n_rows + 1, binned))
+        partition_seconds = _timed_best(lambda: _with_walk(0, binned))
         records.append(
             {
                 "n_rows": n_rows,
+                "walk": (
+                    "partition" if n_rows >= partition_min_rows else "lanes"
+                ),
                 "exact_seconds": round(exact_seconds, 6),
                 "float_seconds": round(float_seconds, 6),
                 "binned_seconds": round(binned_seconds, 6),
+                "binned_lane_seconds": round(lane_seconds, 6),
+                "binned_partition_seconds": round(partition_seconds, 6),
                 "exact_drives_per_second": round(n_rows / exact_seconds, 1),
                 "binned_drives_per_second": round(n_rows / binned_seconds, 1),
                 "speedup": round(exact_seconds / binned_seconds, 3),
@@ -146,7 +175,13 @@ def test_predict_speedup(tmp_path):
     window = next(r for r in records if r["n_rows"] == WINDOW_ROWS)
     payload = {
         "cpu_count": os.cpu_count(),
-        "model": {"n_estimators": 40, "max_depth": 12, "n_features": n_features},
+        "model": {
+            "n_estimators": 40,
+            "max_depth": 12,
+            "n_features": n_features,
+            "n_nodes": model._arena_.n_nodes,
+            "partition_min_rows": model._arena_.partition_min_rows(),
+        },
         "window_rows": WINDOW_ROWS,
         "required_speedup": REQUIRED_SPEEDUP,
         "batches": records,
@@ -161,13 +196,17 @@ def test_predict_speedup(tmp_path):
     save_exhibit(
         "predict_speedup",
         render_table(
-            ["Rows", "Exact (drv/s)", "Binned (drv/s)", "Speedup"],
+            ["Rows", "Exact (drv/s)", "Binned (drv/s)", "Speedup",
+             "Lanes (ms)", "Partition (ms)", "Walk"],
             [
                 [
                     str(r["n_rows"]),
                     f"{r['exact_drives_per_second']:.0f}",
                     f"{r['binned_drives_per_second']:.0f}",
                     f"{r['speedup']:.2f}x",
+                    f"{1e3 * r['binned_lane_seconds']:.1f}",
+                    f"{1e3 * r['binned_partition_seconds']:.1f}",
+                    r["walk"],
                 ]
                 for r in records
             ]
@@ -177,6 +216,9 @@ def test_predict_speedup(tmp_path):
                     f"refit {cold_start['cold_fit_seconds']:.2f}s",
                     f"artifact {cold_start['artifact_load_seconds']:.2f}s",
                     f"{cold_start['speedup']:.0f}x",
+                    "",
+                    "",
+                    "",
                 ]
             ],
             title="Binned forest-arena inference (RF 40x d12)",

@@ -35,10 +35,24 @@ threshold, so the binned engine routes the same rows right — and the
 comparison is a deterministic integer compare, not a NaN-poisoned
 float one.
 
-Aggregation preserves the seed's float accumulation order (a
-sequential per-tree loop, never a pairwise ``np.sum`` over the tree
+Two walks read the same column-major ``(features, rows)`` input and
+return leaves as ``(trees, rows)``:
+
+* **lanes** (:meth:`ForestArena._descend`) — every ``(tree, row)`` lane
+  steps one level per pass, for up to ``max_depth`` passes.  Cheapest
+  for small batches, where per-node Python work would dominate.
+* **partition** (:meth:`ForestArena._partition`) — per tree, each split
+  node compares its row subset against one contiguous column and hands
+  the two halves to its children.  It adds a fixed cost per visited
+  node, so it is taken by batches where the lane walk would take many
+  lane steps per node (:meth:`ForestArena.partition_min_rows`), such
+  as a monitor window.
+
+Both make exactly the comparisons of the per-tree loops, so they agree
+bit for bit.  Aggregation preserves the seed's float accumulation order
+(a sequential per-tree loop, never a pairwise ``np.sum`` over the tree
 axis) so ensemble probabilities — not just alarms — stay bit-identical
-at any engine and any row chunking.
+at any engine, walk and row chunking.
 """
 
 from __future__ import annotations
@@ -51,6 +65,7 @@ from repro.ml.tree import _NO_SPLIT, _Tree
 from repro.obs import inc_counter, observe_histogram
 
 __all__ = [
+    "ArenaCached",
     "ForestArena",
     "cached_arena",
     "exact_mode",
@@ -65,6 +80,18 @@ _inference_mode = "auto"
 #: per-lane temporaries (~8 bytes/lane each), so chunking rows keeps
 #: peak memory flat for million-row batches.
 _MAX_LANES = 1 << 22
+
+#: A row chunk descends by row partition instead of lanes when it has
+#: at least ``_PARTITION_MIN_ROWS`` rows and the lane walk would take at
+#: least ``_PARTITION_LANE_STEPS_PER_NODE`` lane steps (rows × depth)
+#: per node of the average tree (see :meth:`ForestArena.partition_min_rows`).
+#: Per row and level the two walks cost about the same, but the
+#: partition adds a few microseconds per visited node, so it wins only
+#: where lane steps far outnumber nodes.  Both are chosen from a
+#: measured sweep over five forest shapes (``docs/performance.md``,
+#: "Arena descent as a row partition").
+_PARTITION_MIN_ROWS = 1024
+_PARTITION_LANE_STEPS_PER_NODE = 1024
 
 #: Per-feature code-table ceiling. The leaf sentinel cut (0xFFFF) must
 #: exceed every real code (and the NaN code ``table.size + 1``); a
@@ -114,6 +141,21 @@ def cached_arena(model, build) -> "ForestArena":
     return arena
 
 
+class ArenaCached:
+    """Mixin for ensembles that cache their arena in ``_arena_``.
+
+    The arena is derived data, larger than the trees it packs (more so
+    once its partition programs are built), so pickles (checkpoints,
+    ``model.pkl``, ``pickle``-kind artifacts) leave it out and
+    :func:`cached_arena` rebuilds it on the first predict after loading.
+    """
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_arena_", None)
+        return state
+
+
 class ForestArena:
     """All trees of one ensemble packed into contiguous node arrays."""
 
@@ -137,6 +179,7 @@ class ForestArena:
         self.code_tables = None
         self.code_cut = None
         self.base = None
+        self.programs = {}
 
     # ---------------------------------------------------------- build
 
@@ -296,7 +339,7 @@ class ForestArena:
     # -------------------------------------------------------- descent
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        """Encode a float batch to codes against the code tables.
+        """Encode a float batch to ``(n_features, rows)`` codes.
 
         Same semantics as :mod:`repro.ml.binning`:
         ``searchsorted(table, v, side="left")`` with NaN mapped to the
@@ -316,20 +359,21 @@ class ForestArena:
             if nan_rows.any():
                 column_codes = np.where(nan_rows, table.size + 1, column_codes)
             codes[j] = column_codes
-        out = np.ascontiguousarray(codes.T)
         observe_histogram(
             "predict_encode_seconds", time.perf_counter() - started
         )
-        return out
+        return codes
 
-    def _descend(self, X: np.ndarray, codes) -> np.ndarray:
+    def _descend(self, columns: np.ndarray, engine: str) -> np.ndarray:
         """One vectorized multi-tree walk over flattened lanes.
 
-        Lanes are the flattened ``(rows, trees)`` matrix; the returned
-        flat array holds each lane's absolute leaf index.  Feature
+        ``columns`` is the column-major ``(n_features, rows)`` batch —
+        float values, or codes when ``engine == "binned"``.  Lanes are
+        the flattened ``(trees, rows)`` matrix, and the returned array
+        holds each lane's absolute leaf index in that shape.  Feature
         lookups go through one flat 1-D gather
-        (``row * n_features + feature``) instead of 2-D advanced
-        indexing, and children through the interleaved
+        (``feature * n_rows + row``) instead of 2-D advanced indexing,
+        and children through the interleaved
         ``child[(node << 1) + went_right]`` gather.
 
         Two phases: while at least half the lanes still sit on split
@@ -337,32 +381,28 @@ class ForestArena:
         thins (skewed trees route most rows to shallow leaves) the walk
         compacts to the live lanes only, like the per-tree descent.
         """
-        n_rows = X.shape[0]
+        n_rows = columns.shape[1]
+        shape = (self.n_trees, n_rows)
         lanes = n_rows * self.n_trees
-        nodes = np.empty(lanes, dtype=np.int64)
-        nodes.reshape(n_rows, self.n_trees)[:] = self.roots
-        row_offset = np.repeat(
-            np.arange(n_rows, dtype=np.int64) * self.n_features, self.n_trees
-        )
-        if codes is not None:
-            flat_codes = codes.reshape(-1)
-            gather_feature = self.gather_feature
+        nodes = np.repeat(self.roots, n_rows)
+        row_offset = np.tile(np.arange(n_rows, dtype=np.int64), self.n_trees)
+        flat = columns.reshape(-1)
+        column_start = self.gather_feature * n_rows
+        if engine == "binned":
             cuts = self.code_cut
             base = self.base
 
             def step(cur: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-                code = flat_codes[offsets + gather_feature[cur]]
+                code = flat[offsets + column_start[cur]]
                 # Leaves carry cut = 0xFFFF ≥ every code (NaN included),
                 # so they add 0 and stay on base = themselves.
                 return base[cur] + (code > cuts[cur])
         else:
-            flat_values = X.reshape(-1)
             threshold = self.threshold
-            gather_feature = self.gather_feature
             child = self.child
 
             def step(cur: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-                value = flat_values[offsets + gather_feature[cur]]
+                value = flat[offsets + column_start[cur]]
                 # ``~(v <= t)`` rather than ``v > t``: both NaN-compares
                 # are False, and left must win only when ``v <= t``.
                 went_right = ~(value <= threshold[cur])
@@ -376,17 +416,17 @@ class ForestArena:
         # depth-bounded step skips the bookkeeping entirely.
         remaining = self.max_depth
         if remaining == 0:  # every tree is a lone root leaf
-            return nodes
+            return nodes.reshape(shape)
         while remaining > 0:
             stepped = step(nodes, row_offset)
             remaining -= 1
             if remaining == 0:
-                return stepped
+                return stepped.reshape(shape)
             moved = stepped != nodes
             nodes = stepped
             n_active = int(np.count_nonzero(moved))
             if n_active == 0:
-                return nodes
+                return nodes.reshape(shape)
             if 2 * n_active < lanes:
                 break
         live = np.flatnonzero(moved)
@@ -396,7 +436,64 @@ class ForestArena:
             moved = stepped != nodes[live]
             nodes[live] = stepped
             live = live[moved]
-        return nodes
+        return nodes.reshape(shape)
+
+    def _program(self, engine: str) -> list[tuple]:
+        """Every node as a plain ``(feature, cut, left, right)`` tuple.
+
+        Indexed by absolute node id, so each tree's nodes keep their BFS
+        order.  The cut is the float threshold, or the code cut on the
+        binned engine; leaves carry feature ``_NO_SPLIT``.  Built once
+        per engine: the partition walk reads one node per Python step,
+        and tuple unpacking is far cheaper there than numpy scalar reads.
+        """
+        # Arenas unpickled from older checkpoints lack the cache.
+        programs = self.__dict__.setdefault("programs", {})
+        program = programs.get(engine)
+        if program is None:
+            cuts = self.code_cut if engine == "binned" else self.threshold
+            program = programs[engine] = list(zip(
+                self.feature.tolist(), cuts.tolist(),
+                self.child[0::2].tolist(), self.child[1::2].tolist(),
+            ))
+        return program
+
+    def _partition(self, columns: np.ndarray, engine: str) -> np.ndarray:
+        """Per-tree row partition: one column compare per visited node.
+
+        Same input and output as :meth:`_descend`.  The root holds every
+        row; a split node compares its rows against one contiguous
+        column and passes the two halves to its children, and a leaf
+        writes its node id into its tree's row of ``leaves``.  A
+        one-sided split passes the whole set on, so an empty child is
+        never visited.  ``NaN <= cut`` is False, so NaN rows go right
+        exactly as in the lane walk.
+        """
+        program = self._program(engine)
+        n_rows = columns.shape[1]
+        by_feature = list(columns)
+        leaves = np.empty((self.n_trees, n_rows), dtype=np.int64)
+        every_row = np.arange(n_rows)
+        for out, root in zip(leaves, self.roots.tolist()):
+            pending = [(root, every_row)]
+            while pending:
+                node, rows = pending.pop()
+                feature, cut, left, right = program[node]
+                if feature == _NO_SPLIT:
+                    out[rows] = node
+                    continue
+                went_left = by_feature[feature].take(rows) <= cut
+                # ``compress``, not a boolean index: the latter is several
+                # times slower on evenly mixed masks (balanced splits).
+                left_rows = rows.compress(went_left)
+                if left_rows.size == rows.size:
+                    pending.append((left, rows))
+                elif left_rows.size == 0:
+                    pending.append((right, rows))
+                else:
+                    pending.append((left, left_rows))
+                    pending.append((right, rows.compress(~went_left)))
+        return leaves
 
     def _choose_engine(self) -> str:
         mode = get_inference_mode()
@@ -414,9 +511,40 @@ class ForestArena:
     def _chunk_rows(self) -> int:
         return max(1, _MAX_LANES // max(1, self.n_trees))
 
-    def _observe(self, engine: str, n_rows: int, started: float) -> None:
+    def partition_min_rows(self) -> int:
+        """Smallest row chunk that descends by row partition."""
+        lane_steps = _PARTITION_LANE_STEPS_PER_NODE * self.n_nodes
+        per_row = max(1, self.n_trees) * max(1, self.max_depth)
+        return max(_PARTITION_MIN_ROWS, -(-lane_steps // per_row))
+
+    def _leaf_chunks(self, X: np.ndarray):
+        """Yield ``(span, leaves)`` per row chunk of a batch.
+
+        ``leaves`` is the chunk's ``(n_trees, rows)`` absolute leaf ids.
+        A chunk of at least :meth:`partition_min_rows` rows descends by
+        row partition, a smaller one by lanes; both are bit-identical.
+        ``predict_batch_seconds`` is observed once the last chunk has
+        been consumed, so it spans encode, descent and aggregation.
+        """
+        started = time.perf_counter()
+        engine = self._choose_engine()
+        if engine == "binned":
+            columns = self.encode(X)
+        else:
+            columns = np.ascontiguousarray(X.T)
+        chunk = self._chunk_rows()
+        min_rows = self.partition_min_rows()
+        for start in range(0, X.shape[0], chunk):
+            span = slice(start, start + chunk)
+            part = columns[:, span]
+            n_rows = part.shape[1]
+            if n_rows >= min_rows:
+                inc_counter("predict_partition_rows_total", float(n_rows))
+                yield span, self._partition(part, engine)
+            else:
+                yield span, self._descend(part, engine)
         inc_counter("predict_requests_total", engine=engine)
-        inc_counter("predict_rows_total", float(n_rows), engine=engine)
+        inc_counter("predict_rows_total", float(X.shape[0]), engine=engine)
         observe_histogram(
             "predict_batch_seconds", time.perf_counter() - started
         )
@@ -430,40 +558,22 @@ class ForestArena:
         addition sequence as the seed's per-tree loop, so probabilities
         are bit-identical.
         """
-        started = time.perf_counter()
-        engine = self._choose_engine()
-        codes = self.encode(X) if engine == "binned" else None
         out = np.zeros((X.shape[0], self.values.shape[1]))
-        chunk = self._chunk_rows()
-        for start in range(0, X.shape[0], chunk):
-            span = slice(start, start + chunk)
-            nodes = self._descend(
-                X[span], None if codes is None else codes[span]
-            ).reshape(-1, self.n_trees)
+        for span, leaves in self._leaf_chunks(X):
             aggregate = out[span]
-            for t in range(self.n_trees):
-                aggregate += self.values[nodes[:, t]]
+            for tree_leaves in leaves:
+                aggregate += self.values[tree_leaves]
             aggregate /= self.n_trees
-        self._observe(engine, X.shape[0], started)
         return out
 
     def predict_raw(self, X: np.ndarray, initial_score: float,
                     learning_rate: float) -> np.ndarray:
         """GBDT aggregation: additive raw score in boosting order."""
-        started = time.perf_counter()
-        engine = self._choose_engine()
-        codes = self.encode(X) if engine == "binned" else None
         raw = np.full(X.shape[0], initial_score)
-        chunk = self._chunk_rows()
-        for start in range(0, X.shape[0], chunk):
-            span = slice(start, start + chunk)
-            nodes = self._descend(
-                X[span], None if codes is None else codes[span]
-            ).reshape(-1, self.n_trees)
+        for span, leaves in self._leaf_chunks(X):
             segment = raw[span]
-            for t in range(self.n_trees):
-                segment += learning_rate * self.values[nodes[:, t], 0]
-        self._observe(engine, X.shape[0], started)
+            for tree_leaves in leaves:
+                segment += learning_rate * self.values[tree_leaves, 0]
         return raw
 
     def predict_stack(self, X: np.ndarray) -> np.ndarray:
@@ -473,17 +583,7 @@ class ForestArena:
         axis=0)`` — the identical reduction (and pairwise-summation
         pattern) the seed applies to its list of per-tree predictions.
         """
-        started = time.perf_counter()
-        engine = self._choose_engine()
-        codes = self.encode(X) if engine == "binned" else None
         stack = np.empty((self.n_trees, X.shape[0]))
-        chunk = self._chunk_rows()
-        for start in range(0, X.shape[0], chunk):
-            span = slice(start, start + chunk)
-            nodes = self._descend(
-                X[span], None if codes is None else codes[span]
-            ).reshape(-1, self.n_trees)
-            for t in range(self.n_trees):
-                stack[t, span] = self.values[nodes[:, t], 0]
-        self._observe(engine, X.shape[0], started)
+        for span, leaves in self._leaf_chunks(X):
+            stack[:, span] = self.values[leaves, 0]
         return stack

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.arena import ForestArena, cached_arena, exact_mode
+from repro.ml.arena import ArenaCached, ForestArena, cached_arena, exact_mode
 from repro.ml.base import BaseClassifier, check_X, check_X_y
 from repro.ml.binning import BinnedDataset
 from repro.ml.tree import (
@@ -93,7 +93,7 @@ def _fit_members(
     forest._arena_ = None
 
 
-class RandomForestClassifier(BaseClassifier):
+class RandomForestClassifier(ArenaCached, BaseClassifier):
     """Bagged ensemble of decorrelated CART trees.
 
     Parameters
@@ -201,7 +201,7 @@ class RandomForestClassifier(BaseClassifier):
         return arena.predict_mean(X)
 
 
-class RandomForestRegressor:
+class RandomForestRegressor(ArenaCached):
     """Bagged ensemble of CART regression trees.
 
     Used by the remaining-useful-life extension

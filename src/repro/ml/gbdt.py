@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.arena import ForestArena, cached_arena, exact_mode
+from repro.ml.arena import ArenaCached, ForestArena, cached_arena, exact_mode
 from repro.ml.base import BaseClassifier, check_X, check_X_y
 from repro.ml.binning import BinnedDataset
 from repro.ml.tree import (
@@ -25,7 +25,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-class GradientBoostingClassifier(BaseClassifier):
+class GradientBoostingClassifier(ArenaCached, BaseClassifier):
     """Binary gradient boosting on shallow CART regression trees.
 
     Parameters

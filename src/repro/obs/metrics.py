@@ -326,13 +326,19 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
     ("predict_rows_total", "counter",
      "rows scored by the forest arena, by engine (float | binned)",
      None, False),
+    ("predict_partition_rows_total", "counter",
+     "rows descended by the arena's per-tree row partition (row chunks "
+     "of at least ForestArena.partition_min_rows()); smaller chunks "
+     "walk lanes",
+     None, True),
     ("model_artifacts_saved_total", "counter",
      "versioned model artifacts written by save_model", None, True),
     ("model_artifacts_loaded_total", "counter",
      "versioned model artifacts loaded (and sha256-verified) by "
      "load_model", None, True),
     ("predict_batch_seconds", "histogram",
-     "wall-clock per arena predict call (descent + aggregation)",
+     "wall-clock per arena predict call (encode + descent + "
+     "aggregation)",
      SECONDS_BUCKETS, True),
     ("predict_encode_seconds", "histogram",
      "wall-clock per integer-code encode of an inference batch against "

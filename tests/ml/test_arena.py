@@ -154,14 +154,13 @@ class TestNaNRouting:
     def test_engines_match_trees_on_nan(self):
         model, rows = self._nan_fixture()
         arena = model._arena_
-        float_leaves = arena._descend(rows, None)
-        binned_leaves = arena._descend(rows, arena.encode(rows))
+        float_leaves = arena._descend(np.ascontiguousarray(rows.T), "float")
+        binned_leaves = arena._descend(arena.encode(rows), "binned")
         np.testing.assert_array_equal(binned_leaves, float_leaves)
         expected = np.stack(
             [m.tree_.predict_value(rows) for m in model.trees_], axis=1
         )
-        leaves = float_leaves.reshape(rows.shape[0], arena.n_trees)
-        got = arena.values[leaves]
+        got = arena.values[float_leaves.T]
         np.testing.assert_array_equal(got[:, :, : expected.shape[2]], expected)
 
     def test_nan_codes_use_reserved_bin(self):
@@ -171,8 +170,8 @@ class TestNaNRouting:
         for feature_index in range(arena.n_features):
             table = arena.code_tables[feature_index]
             nan_rows = np.isnan(rows[:, feature_index])
-            assert np.all(codes[nan_rows, feature_index] == table.size + 1)
-            assert np.all(codes[~nan_rows, feature_index] <= table.size)
+            assert np.all(codes[feature_index, nan_rows] == table.size + 1)
+            assert np.all(codes[feature_index, ~nan_rows] <= table.size)
 
 
 class TestModeControl:
@@ -206,3 +205,39 @@ class TestModeControl:
         assert model._arena_ is first
         model.fit(X, y)
         assert model._arena_ is None
+
+
+class TestPickleLeavesArena:
+    """The cached arena is derived data: a pickle is the same size before
+    and after a predict, and a round trip predicts identically."""
+
+    @pytest.mark.parametrize(
+        "make, predict",
+        [
+            (lambda X, y: RandomForestClassifier(
+                n_estimators=6, max_depth=6, seed=0).fit(X, y),
+             lambda m, rows: m.predict_proba(rows)),
+            (lambda X, y: RandomForestRegressor(
+                n_estimators=6, max_depth=6, seed=0).fit(X, X[:, 0]),
+             lambda m, rows: m.predict(rows)),
+            (lambda X, y: GradientBoostingClassifier(
+                n_estimators=8, max_depth=3).fit(X, y),
+             lambda m, rows: m.predict_proba(rows)),
+        ],
+        ids=["forest", "regressor", "gbdt"],
+    )
+    def test_pickle_drops_cached_arena(self, make, predict):
+        import pickle
+
+        X, y = _problem(seed=15)
+        model = make(X, y)
+        rows = _fresh_rows(seed=16)
+        before = pickle.dumps(model)
+        expected = predict(model, rows)
+        assert model._arena_ is not None
+        after = pickle.dumps(model)
+        assert len(after) == len(before)
+        restored = pickle.loads(after)
+        assert "_arena_" not in vars(restored)
+        np.testing.assert_array_equal(predict(restored, rows), expected)
+        assert restored._arena_ is not None  # rebuilt on demand

@@ -1,0 +1,291 @@
+"""Row-partition arena descent against the lane walk and the seed loops.
+
+A row chunk descends either by lanes (:meth:`ForestArena._descend`,
+every ``(tree, row)`` pair stepping one level per pass) or by per-tree
+row partition (:meth:`ForestArena._partition`, one column compare per
+visited node). Which walk a chunk takes depends only on its size and
+the forest's shape, so both must agree bit for bit with each other and
+with ``exact`` mode — on both engines, for every ensemble aggregation,
+across NaN routing, lone-root trees, empty batches, the walk threshold
+and row chunking.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ml import arena
+from repro.ml.arena import get_inference_mode, set_inference_mode
+from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.gbdt import GradientBoostingClassifier
+from repro.obs import get_registry
+
+ENGINES = ("float", "binned")
+#: A threshold far above every batch here: every chunk walks lanes.
+NEVER = 1 << 40
+
+
+@pytest.fixture(autouse=True)
+def restore_mode():
+    previous = get_inference_mode()
+    yield
+    set_inference_mode(previous)
+
+
+def _with_mode(mode, fn):
+    previous = set_inference_mode(mode)
+    try:
+        return fn()
+    finally:
+        set_inference_mode(previous)
+
+
+def _walk_at(monkeypatch, min_rows: int, steps_per_node: int = 0) -> None:
+    monkeypatch.setattr(arena, "_PARTITION_MIN_ROWS", min_rows)
+    monkeypatch.setattr(
+        arena, "_PARTITION_LANE_STEPS_PER_NODE", steps_per_node
+    )
+
+
+def _problem(seed: int, n: int = 300, d: int = 5, n_classes: int = 2):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    X[:, 2] = rng.integers(0, 4, n)  # ties and repeated thresholds
+    score = X[:, 0] + 0.5 * X[:, 1] ** 2 + 0.3 * rng.normal(size=n)
+    y = (score > 0.8).astype(int)
+    if n_classes == 3:
+        # A rare third class: bootstraps miss it, so member trees know
+        # fewer classes than the forest (tree_columns alignment).
+        y[:1] = 2
+    return X, y
+
+
+def _rows(seed: int, n: int, d: int = 5) -> np.ndarray:
+    return np.random.default_rng(seed).normal(scale=2.5, size=(n, d))
+
+
+def _classifier(algo: str) -> RandomForestClassifier:
+    X, y = _problem(0, n_classes=3)
+    model = RandomForestClassifier(
+        n_estimators=12, max_depth=7, seed=0, split_algorithm=algo
+    ).fit(X, y)
+    known = {len(tree.classes_) for tree in model.trees_}
+    assert min(known) < model.classes_.size  # some member lacks a class
+    return model
+
+
+def _regressor(algo: str) -> RandomForestRegressor:
+    X, _ = _problem(1)
+    y = X[:, 1] * 2 + np.abs(X[:, 0])
+    return RandomForestRegressor(
+        n_estimators=6, max_depth=6, seed=0, split_algorithm=algo
+    ).fit(X, y)
+
+
+def _gbdt(algo: str) -> GradientBoostingClassifier:
+    X, y = _problem(2)
+    return GradientBoostingClassifier(
+        n_estimators=10, max_depth=3, split_algorithm=algo
+    ).fit(X, y)
+
+
+#: (name, fit, predict) — predict goes through the arena aggregation
+#: the name points at: predict_mean, predict_stack, predict_raw.
+MODELS = (
+    ("predict_mean", _classifier, lambda m, X: m.predict_proba(X)),
+    ("predict_stack", _regressor, lambda m, X: m.predict(X)),
+    ("predict_raw", _gbdt, lambda m, X: m.decision_function(X)),
+)
+
+
+def _fitted(name: str, algo: str):
+    for model_name, fit, predict in MODELS:
+        if model_name == name:
+            return fit(algo), predict
+    raise KeyError(name)
+
+
+def _assert_same_bytes(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("algo", ["exact", "hist"])
+@pytest.mark.parametrize("name", [m[0] for m in MODELS])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_walks_match_exact_mode(monkeypatch, engine, name, algo):
+    model, predict = _fitted(name, algo)
+    rows = _rows(3, 257)
+    expected = _with_mode("exact", lambda: predict(model, rows))
+    _walk_at(monkeypatch, NEVER)
+    lanes = _with_mode(engine, lambda: predict(model, rows))
+    _walk_at(monkeypatch, 0)
+    partition = _with_mode(engine, lambda: predict(model, rows))
+    _assert_same_bytes(lanes, expected)
+    _assert_same_bytes(partition, expected)
+
+
+@pytest.mark.parametrize("name", [m[0] for m in MODELS])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_chunks_straddle_the_threshold(monkeypatch, engine, name):
+    """Small ``_MAX_LANES`` splits a batch into chunks; full chunks
+    partition, the short tail walks lanes, and the result is unchanged."""
+    model, predict = _fitted(name, "hist")
+    rows = _rows(4, 150)
+    expected = _with_mode("exact", lambda: predict(model, rows))
+    n_trees = len(model.trees_)
+    monkeypatch.setattr(arena, "_MAX_LANES", 64 * n_trees)  # 64-row chunks
+    _walk_at(monkeypatch, 40)  # 64, 64 partition; 22 lanes
+    registry = get_registry()
+    registry.reset()
+    got = _with_mode(engine, lambda: predict(model, rows))
+    _assert_same_bytes(got, expected)
+    assert registry.counter("predict_partition_rows_total").value == 128
+
+
+def _assert_boundary(model, predict, engine) -> None:
+    """A chunk of ``partition_min_rows()`` rows is partitioned (and
+    counted); one row fewer walks lanes.  Both match ``exact`` mode."""
+    threshold = model._arena_.partition_min_rows()
+    registry = get_registry()
+    for n_rows, partitioned in ((threshold - 1, 0), (threshold, threshold)):
+        rows = _rows(n_rows, n_rows)
+        expected = _with_mode("exact", lambda: predict(model, rows))
+        registry.reset()
+        got = _with_mode(engine, lambda: predict(model, rows))
+        _assert_same_bytes(got, expected)
+        counter = registry.counter("predict_partition_rows_total")
+        assert counter.value == partitioned
+
+
+def _lane_step_rule(table, steps_per_node: int) -> int:
+    per_row = table.n_trees * table.max_depth
+    return -(-steps_per_node * table.n_nodes // per_row)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_threshold_boundary(monkeypatch, engine):
+    model = _classifier("exact")
+    predict = _fitted("predict_mean", "exact")[1]
+    _with_mode(engine, lambda: predict(model, _rows(5, 2)))
+    table = model._arena_
+    _walk_at(monkeypatch, 50, steps_per_node=40)
+    assert table.partition_min_rows() == _lane_step_rule(table, 40) > 50
+    _assert_boundary(model, predict, engine)
+    _walk_at(monkeypatch, 300, steps_per_node=1)
+    assert table.partition_min_rows() == 300
+    _assert_boundary(model, predict, engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_shipped_threshold_boundary(engine):
+    """Unpatched constants: lone-root trees sit on the row floor, the
+    depth-3 GBDT on the lane-step rule."""
+    X, _ = _problem(8)
+    lone = RandomForestRegressor(n_estimators=3, seed=0).fit(
+        X, np.full(X.shape[0], 1.5)
+    )
+    lone.predict(_rows(10, 2))
+    assert lone._arena_.partition_min_rows() == arena._PARTITION_MIN_ROWS
+    _assert_boundary(lone, lambda m, rows: m.predict(rows), engine)
+
+    gbdt, predict = _fitted("predict_raw", "hist")
+    predict(gbdt, _rows(10, 2))
+    table = gbdt._arena_
+    rule = _lane_step_rule(table, arena._PARTITION_LANE_STEPS_PER_NODE)
+    assert table.partition_min_rows() == rule > arena._PARTITION_MIN_ROWS
+    _assert_boundary(gbdt, predict, engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_nan_rows_route_right_in_both_walks(engine):
+    """``check_X`` rejects NaN, so NaN and all-NaN rows go straight in."""
+    model = _classifier("hist")
+    model.predict_proba(_rows(6, 2))  # build the arena
+    table = model._arena_
+    rows = _rows(7, 90)
+    rows[::3, 0] = np.nan
+    rows[::4, 2] = np.nan
+    rows[5] = np.nan
+    rows[11] = np.nan
+    if engine == "binned":
+        columns = table.encode(rows)
+    else:
+        columns = np.ascontiguousarray(rows.T)
+    lanes = table._descend(columns, engine)
+    partition = table._partition(columns, engine)
+    assert lanes.shape == (table.n_trees, rows.shape[0])
+    _assert_same_bytes(partition, lanes)
+    for t, member in enumerate(model.trees_):
+        expected = member.tree_.predict_value(rows)
+        got = table.values[partition[t]][:, model._tree_columns_[t]]
+        _assert_same_bytes(got, expected)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_lone_root_trees(monkeypatch, engine):
+    X, _ = _problem(8)
+    model = RandomForestRegressor(n_estimators=3, seed=0).fit(
+        X, np.full(X.shape[0], 1.5)
+    )
+    rows = _rows(9, 30)
+    expected = _with_mode("exact", lambda: model.predict(rows))
+    for min_rows in (NEVER, 0):
+        _walk_at(monkeypatch, min_rows)
+        got = _with_mode(engine, lambda: model.predict(rows))
+        _assert_same_bytes(got, expected)
+    assert model._arena_.max_depth == 0
+
+
+@pytest.mark.parametrize("name", [m[0] for m in MODELS])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_empty_batch(monkeypatch, engine, name):
+    model, predict = _fitted(name, "exact")
+    rows = np.empty((0, 5))
+    expected = _with_mode("exact", lambda: predict(model, rows))
+    for min_rows in (NEVER, 0):
+        _walk_at(monkeypatch, min_rows)
+        got = _with_mode(engine, lambda: predict(model, rows))
+        _assert_same_bytes(got, expected)
+    table = model._arena_
+    columns = np.empty((5, 0), dtype=np.int64 if engine == "binned" else float)
+    assert table._partition(columns, engine).shape == (table.n_trees, 0)
+    assert table._descend(columns, engine).shape == (table.n_trees, 0)
+
+
+_PROPERTY_MODELS = {}
+
+
+def _property_model(name: str, algo: str):
+    key = (name, algo)
+    if key not in _PROPERTY_MODELS:
+        _PROPERTY_MODELS[key] = _fitted(name, algo)
+    return _PROPERTY_MODELS[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from([m[0] for m in MODELS]),
+    algo=st.sampled_from(["exact", "hist"]),
+    engine=st.sampled_from(ENGINES),
+    n_rows=st.integers(0, 200),
+    chunk_rows=st.integers(1, 96),
+    min_rows=st.integers(0, 120),
+    seed=st.integers(0, 2**16),
+)
+def test_any_chunking_and_threshold_is_exact(
+    name, algo, engine, n_rows, chunk_rows, min_rows, seed
+):
+    model, predict = _property_model(name, algo)
+    rows = _rows(seed, n_rows)
+    expected = _with_mode("exact", lambda: predict(model, rows))
+    n_trees = len(model.trees_)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arena, "_MAX_LANES", chunk_rows * n_trees)
+        _walk_at(patch, min_rows)
+        got = _with_mode(engine, lambda: predict(model, rows))
+    _assert_same_bytes(got, expected)
