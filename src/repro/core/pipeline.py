@@ -274,38 +274,26 @@ class MFPA:
     def bind_dataset(self, dataset: TelemetryDataset) -> "MFPA":
         """Attach a fleet dataset to an artifact-loaded pipeline.
 
-        Runs only the *transform* half of :meth:`fit` — discontinuity
-        repair, event accumulation, derived features, firmware encoding
-        through the **saved** encoder, and failure-time labeling — so an
-        ``repro model load``-ed pipeline can ``evaluate()`` or drive a
-        fleet monitor without retraining. ``model_``, ``assembler_`` and
-        ``firmware_encoder_`` are left exactly as loaded; a firmware
-        version the encoder never saw raises ``ValueError`` rather than
-        silently remapping codes.
+        Runs only the *transform* half of :meth:`fit` — the same
+        :func:`~repro.core.preprocess.preprocess` pass with the firmware
+        encoded through the **saved** encoder, derived features, and
+        failure-time labeling — so an ``repro model load``-ed pipeline
+        can ``evaluate()`` or drive a fleet monitor without retraining.
+        ``model_``, ``assembler_`` and ``firmware_encoder_`` are left
+        exactly as loaded; non-finite telemetry and a firmware version
+        the encoder never saw raise ``ValueError`` rather than reaching
+        the prepared columns or silently remapping codes.
         """
         self._check_fitted()
-        from repro.core.features import FIRMWARE_CODE_COLUMN
-        from repro.core.preprocess import (
-            accumulate_events,
-            repair_discontinuity,
-        )
-
         config = self.config
         started = time.perf_counter()
         with trace_span("bind_dataset"):
-            prepared, report = repair_discontinuity(
+            prepared, report, _ = preprocess(
                 dataset,
                 max_gap=config.max_gap,
                 fill_gap=config.fill_gap,
                 min_segment_records=config.min_segment_records,
-            )
-            prepared = accumulate_events(prepared)
-            columns = dict(prepared.columns)
-            columns[FIRMWARE_CODE_COLUMN] = self.firmware_encoder_.transform(
-                columns["firmware"]
-            ).astype(float)
-            prepared = TelemetryDataset(
-                columns, prepared.drives, prepared.tickets
+                encoder=self.firmware_encoder_,
             )
             if self.derived_columns_:
                 from repro.core.derived import add_derived_features

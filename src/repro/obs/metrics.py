@@ -207,6 +207,12 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
     ("window_stage_seconds", "histogram",
      "wall-clock per monitor window stage (select, score, decide), "
      "observed once per scored window, by stage", SECONDS_BUCKETS, False),
+    ("preprocess_seconds", "histogram",
+     "wall-clock per preprocess pass (fit, bind_dataset, per-shard "
+     "prepare)", SECONDS_BUCKETS, True),
+    ("preprocess_rows_total", "counter",
+     "rows preprocess dropped with short fragments or filled into short "
+     "gaps, by outcome (dropped | filled)", None, False),
     ("cv_fold_fit_seconds", "histogram",
      "wall-clock per (candidate, fold) fit-and-score", SECONDS_BUCKETS, True),
     ("selection_candidate_seconds", "histogram",

@@ -35,12 +35,7 @@ import numpy as np
 from repro.core.features import FeatureAssembler
 from repro.core.labeling import FailureTimeIdentifier, SampleSet, build_samples
 from repro.core.pipeline import MFPA, MFPAConfig, EvaluationResult
-from repro.core.preprocess import (
-    FIRMWARE_CODE_COLUMN,
-    PreprocessReport,
-    accumulate_events,
-    repair_discontinuity,
-)
+from repro.core.preprocess import PreprocessReport, preprocess
 from repro.ml.encoding import LabelEncoder
 from repro.ml.metrics import classification_report
 from repro.obs import trace_span
@@ -66,30 +61,22 @@ def prepare_shard(
 ]:
     """§III-C(1) preprocessing of one shard with a *global* encoder.
 
-    Mirrors :func:`repro.core.preprocess.preprocess` except the firmware
-    encoder is transform-only: it was fitted on the union of every
-    shard's firmware vocabulary, so codes agree across shards and match
-    the in-RAM fit. The last element is the derived-column name tuple
+    Runs :func:`repro.core.preprocess.preprocess` with the firmware
+    encoder transform-only: it was fitted on the union of every shard's
+    firmware vocabulary, so codes agree across shards and match the
+    in-RAM fit. The last element is the derived-column name tuple
     (empty unless ``config.derived_features``).
     """
     quarantine = None
     if sanitize:
         raw, quarantine = sanitize_dataset(raw)
-    for name, values in raw.columns.items():
-        if values.dtype != object and not np.all(np.isfinite(values)):
-            raise ValueError(f"column {name!r} contains NaN or infinite values")
-    repaired, report = repair_discontinuity(
+    prepared, report, _ = preprocess(
         raw,
         max_gap=config.max_gap,
         fill_gap=config.fill_gap,
         min_segment_records=config.min_segment_records,
+        encoder=encoder,
     )
-    prepared = accumulate_events(repaired)
-    columns = dict(prepared.columns)
-    columns[FIRMWARE_CODE_COLUMN] = encoder.transform(
-        columns["firmware"]
-    ).astype(float)
-    prepared = TelemetryDataset(columns, prepared.drives, prepared.tickets)
     derived: tuple[str, ...] = ()
     if config.derived_features:
         from repro.core.derived import add_derived_features

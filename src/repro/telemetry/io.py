@@ -12,6 +12,7 @@ resimulate. The format is a directory with:
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -36,7 +37,9 @@ def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
         for name, values in dataset.columns.items()
         if name not in _STRING_COLUMNS
     }
-    np.savez_compressed(path / "columns.npz", **numeric)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **numeric)
+    atomic_write(path / "columns.npz", buffer.getvalue())
 
     strings = {
         name: dataset.columns[name].tolist()

@@ -212,3 +212,19 @@ class TestBindDataset:
         mutated.columns["firmware"] = firmware
         with pytest.raises(ValueError, match="unseen label"):
             loaded.bind_dataset(mutated)
+
+    def test_non_finite_telemetry_rejected(self, fitted_sfwb, small_fleet, tmp_path):
+        from repro.ml.artifact import load_model, save_model
+
+        save_model(fitted_sfwb, tmp_path / "artifact")
+        loaded = load_model(tmp_path / "artifact")
+        temperature = small_fleet.columns["s2_temperature"].copy()
+        temperature[50] = np.nan
+        broken = type(small_fleet)(
+            {**small_fleet.columns, "s2_temperature": temperature},
+            small_fleet.drives,
+            small_fleet.tickets,
+        )
+        with pytest.raises(ValueError, match="'s2_temperature' contains NaN"):
+            loaded.bind_dataset(broken)
+        assert not hasattr(loaded, "dataset_")

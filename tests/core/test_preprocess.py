@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.preprocess import (
     IMPUTED_COLUMN,
-    _grouped_cumsum,
     accumulate_events,
     encode_firmware,
     preprocess,
@@ -13,6 +12,8 @@ from repro.core.preprocess import (
 )
 from repro.telemetry.dataset import TelemetryDataset, W_COLUMNS, B_COLUMNS
 from repro.telemetry.smart import SMART_COLUMNS
+
+from .preprocess_oracle import _grouped_cumsum
 
 
 def _toy_dataset(day_lists, metas=None):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.preprocess import _grouped_cumsum
 from repro.core.splitting import TimeSeriesCrossValidator
 from repro.ml.encoding import LabelEncoder, MinMaxScaler, StandardScaler
 from repro.ml.metrics import (
@@ -17,6 +16,7 @@ from repro.ml.metrics import (
     true_positive_rate,
 )
 from repro.ml.resampling import RandomUnderSampler
+from tests.core.preprocess_oracle import _grouped_cumsum
 
 # ---------------------------------------------------------------------------
 # Metrics

@@ -20,10 +20,12 @@ Four AST checks over ``src/repro`` (``make lint-obs``):
   ``src/repro/obs/``;
 * checkpoints, model artifacts and run manifests are verified by
   per-file sha256 or read back whole — a partial file from a crashed
-  raw ``open(..., "w")`` / ``write_text`` / ``write_bytes`` would
-  either fail that verification or, worse, be manifested before it is
-  durable, so every write in ``src/repro`` must go through
-  ``repro.robustness.checkpoint.atomic_write`` (fsync + rename). The
+  raw ``open(..., "w")`` / ``write_text`` / ``write_bytes`` — or a
+  ``np.save`` / ``np.savez`` / ``np.savez_compressed`` handed a path —
+  would either fail that verification or, worse, be manifested before
+  it is durable, so every write in ``src/repro`` must go through
+  ``repro.robustness.checkpoint.atomic_write`` (fsync + rename); numpy
+  archives are serialized to an ``io.BytesIO`` first. The
   few writes that are non-atomic on purpose are named, with their
   reason, in :data:`RAW_WRITE_ALLOWLIST`; an entry that no longer
   matches a write is reported too, so the list cannot go stale.
@@ -143,9 +145,13 @@ def find_http_server_imports(tree: ast.AST) -> list[tuple[int, str]]:
     return offenders
 
 
-def _calls_by_function(tree: ast.AST):
-    """Yield ``(qualified enclosing function, call node)`` for every
-    call; module-level calls get ``""``."""
+#: numpy writers that take a file name or an open file as first argument.
+NUMPY_SAVES = ("save", "savez", "savez_compressed")
+
+
+def _nodes_by_function(tree: ast.AST, node_type: type = ast.Call):
+    """Yield ``(qualified enclosing function, node)`` for every node of
+    ``node_type``; module-level nodes get ``""``."""
     def visit(node: ast.AST, scope: tuple[str, ...]):
         for child in ast.iter_child_nodes(node):
             if isinstance(
@@ -153,16 +159,37 @@ def _calls_by_function(tree: ast.AST):
             ):
                 yield from visit(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call):
+            if isinstance(child, node_type):
                 yield ".".join(scope), child
             yield from visit(child, scope)
 
     yield from visit(tree, ())
 
 
+def _in_memory_buffers(tree: ast.AST) -> set[tuple[str, str]]:
+    """``(qualified function, name)`` for every name a function binds to
+    ``BytesIO(...)`` — a numpy writer may fill those without a raw
+    write."""
+    buffers: set[tuple[str, str]] = set()
+    for function, node in _nodes_by_function(tree, ast.Assign):
+        value = node.value
+        if isinstance(value, ast.Call) and (
+            (isinstance(value.func, ast.Name) and value.func.id == "BytesIO")
+            or (isinstance(value.func, ast.Attribute) and value.func.attr == "BytesIO")
+        ):
+            buffers.update(
+                (function, target.id)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            )
+    return buffers
+
+
 def find_raw_writes(tree: ast.AST) -> list[tuple[int, str, str]]:
-    """Write-mode ``open()`` and ``Path.write_text``/``write_bytes``,
-    as ``(line, message, qualified enclosing function)``.
+    """Write-mode ``open()``, ``Path.write_text``/``write_bytes`` and
+    ``np.save``/``np.savez``/``np.savez_compressed`` to anything but an
+    in-function ``BytesIO``, as ``(line, message, qualified enclosing
+    function)``.
 
     ``open()`` with a non-literal mode is flagged too: if the mode can
     vary at runtime, the call can write, and those bytes must only
@@ -170,7 +197,27 @@ def find_raw_writes(tree: ast.AST) -> list[tuple[int, str, str]]:
     """
     offenders: list[tuple[int, str, str]] = []
     route = "route file writes through robustness.checkpoint.atomic_write"
-    for function, node in _calls_by_function(tree):
+    buffers = _in_memory_buffers(tree)
+    for function, node in _nodes_by_function(tree):
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in NUMPY_SAVES
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            target = node.args[0] if node.args else None
+            if not (
+                isinstance(target, ast.Name) and (function, target.id) in buffers
+            ):
+                offenders.append(
+                    (
+                        node.lineno,
+                        f"np.{node.func.attr}() to a path — serialize to "
+                        f"io.BytesIO and {route}",
+                        function,
+                    )
+                )
+            continue
         if isinstance(node.func, ast.Attribute) and node.func.attr in (
             "write_text",
             "write_bytes",
@@ -237,8 +284,8 @@ def main() -> int:
         "lint-obs: no stray print() calls in src/repro; "
         "no silent excepts in src/repro/serve or src/repro/scale; "
         "no http.server imports outside src/repro/obs; "
-        "no raw file writes in src/repro outside RAW_WRITE_ALLOWLIST "
-        "(atomic_write only)"
+        "no raw file or numpy-archive writes in src/repro outside "
+        "RAW_WRITE_ALLOWLIST (atomic_write only)"
     )
     return 0
 
