@@ -1,12 +1,12 @@
 """Exact-vs-arena prediction wall-clock (``make bench-predict``).
 
-Times drive scoring through the seed per-tree loop ("exact"), the
-contiguous-arena float engine, and the binned code-descent engine at
-four batch shapes, plus the cold-start comparison the artifact layer
-exists for: seconds from process start to the first scored window when
-the model is refit versus loaded from a versioned artifact. Each shape
-also times the binned engine with each arena walk forced — lanes and
-row partition — and records the walk the arena's own rule picks
+Times drive scoring through the seed per-tree loops ("exact", the
+``predict_exact`` test oracle) and the forest arena at four batch
+shapes, plus the cold-start comparison the artifact layer exists for:
+seconds from process start to the first scored window when the model
+is refit versus loaded from a versioned artifact. Each shape also
+times the arena with each walk forced — lanes and row partition — and
+records the walk the arena's own rule picks
 (``ForestArena.partition_min_rows``). Results land in
 ``benchmarks/results/predict_speedup.json`` so the inference fast path
 is tracked alongside the training-side exhibits.
@@ -19,8 +19,8 @@ per-tree loop is largest. That advantage shrinks as batches grow (the
 seed loop's per-tree Python overhead amortizes away), which is why the
 large-batch rows are recorded but not gated.
 
-Engine and walk parity is asserted bit-for-bit here as well: a speedup
-measured on diverging outputs would be meaningless.
+Walk parity with the oracle is asserted bit-for-bit here as well: a
+speedup measured on diverging outputs would be meaningless.
 """
 
 from __future__ import annotations
@@ -34,16 +34,17 @@ import pytest
 
 from benchmarks._util import RESULTS_DIR, save_exhibit
 from repro.ml import arena
-from repro.ml.arena import set_inference_mode
 from repro.ml.artifact import load_model, save_model
 from repro.ml.forest import RandomForestClassifier
 from repro.reporting import render_table
+
+from tests.ml.arena_oracle import predict_exact
 
 pytestmark = pytest.mark.predict_bench
 
 #: The small-batch regime the acceptance gate is measured at.
 WINDOW_ROWS = 1024
-#: Minimum drives/second win the binned arena must post at WINDOW_ROWS.
+#: Minimum drives/second win the arena must post at WINDOW_ROWS.
 REQUIRED_SPEEDUP = 2.0
 #: Rows the in-RAM monitor scores per window, to the nearest power of 2.
 MONITOR_ROWS = 16384
@@ -79,14 +80,6 @@ def _fit_model():
     return model, X.shape[1]
 
 
-def _with_mode(mode, fn):
-    previous = set_inference_mode(mode)
-    try:
-        return fn()
-    finally:
-        set_inference_mode(previous)
-
-
 def _with_walk(min_rows, fn):
     """Run ``fn`` with every chunk of ``min_rows`` or more partitioned."""
     with pytest.MonkeyPatch.context() as patch:
@@ -95,36 +88,28 @@ def _with_walk(min_rows, fn):
         return fn()
 
 
-def _bench_engines(model, n_features):
+def _bench_batches(model, n_features):
     records = []
     for n_rows in BATCH_SHAPES:
         rows = np.random.default_rng(n_rows).normal(
             scale=2.0, size=(n_rows, n_features)
         )
 
-        def binned():
-            return _with_mode("binned", lambda: model.predict_proba(rows))
+        def predict():
+            return model.predict_proba(rows)
 
         # Parity first; these calls also build and cache the arena (and
-        # its partition programs) so one-time construction stays out of
+        # its partition program) so one-time construction stays out of
         # the timings below.
-        exact = _with_mode("exact", lambda: model.predict_proba(rows))
-        for mode in ("float", "binned"):
-            np.testing.assert_array_equal(
-                _with_mode(mode, lambda: model.predict_proba(rows)), exact
-            )
+        exact = predict_exact(model, rows)
+        np.testing.assert_array_equal(predict(), exact)
         for min_rows in (0, n_rows + 1):
-            np.testing.assert_array_equal(_with_walk(min_rows, binned), exact)
+            np.testing.assert_array_equal(_with_walk(min_rows, predict), exact)
         partition_min_rows = model._arena_.partition_min_rows()
-        exact_seconds = _timed_best(
-            lambda: _with_mode("exact", lambda: model.predict_proba(rows))
-        )
-        float_seconds = _timed_best(
-            lambda: _with_mode("float", lambda: model.predict_proba(rows))
-        )
-        binned_seconds = _timed_best(binned)
-        lane_seconds = _timed_best(lambda: _with_walk(n_rows + 1, binned))
-        partition_seconds = _timed_best(lambda: _with_walk(0, binned))
+        exact_seconds = _timed_best(lambda: predict_exact(model, rows))
+        arena_seconds = _timed_best(predict)
+        lane_seconds = _timed_best(lambda: _with_walk(n_rows + 1, predict))
+        partition_seconds = _timed_best(lambda: _with_walk(0, predict))
         records.append(
             {
                 "n_rows": n_rows,
@@ -132,13 +117,12 @@ def _bench_engines(model, n_features):
                     "partition" if n_rows >= partition_min_rows else "lanes"
                 ),
                 "exact_seconds": round(exact_seconds, 6),
-                "float_seconds": round(float_seconds, 6),
-                "binned_seconds": round(binned_seconds, 6),
-                "binned_lane_seconds": round(lane_seconds, 6),
-                "binned_partition_seconds": round(partition_seconds, 6),
+                "arena_seconds": round(arena_seconds, 6),
+                "lane_seconds": round(lane_seconds, 6),
+                "partition_seconds": round(partition_seconds, 6),
                 "exact_drives_per_second": round(n_rows / exact_seconds, 1),
-                "binned_drives_per_second": round(n_rows / binned_seconds, 1),
-                "speedup": round(exact_seconds / binned_seconds, 3),
+                "arena_drives_per_second": round(n_rows / arena_seconds, 1),
+                "speedup": round(exact_seconds / arena_seconds, 3),
             }
         )
     return records
@@ -169,7 +153,7 @@ def _bench_cold_start(model, n_features, tmp_path):
 
 def test_predict_speedup(tmp_path):
     model, n_features = _fit_model()
-    records = _bench_engines(model, n_features)
+    records = _bench_batches(model, n_features)
     cold_start = _bench_cold_start(model, n_features, tmp_path)
 
     window = next(r for r in records if r["n_rows"] == WINDOW_ROWS)
@@ -196,16 +180,16 @@ def test_predict_speedup(tmp_path):
     save_exhibit(
         "predict_speedup",
         render_table(
-            ["Rows", "Exact (drv/s)", "Binned (drv/s)", "Speedup",
+            ["Rows", "Exact (drv/s)", "Arena (drv/s)", "Speedup",
              "Lanes (ms)", "Partition (ms)", "Walk"],
             [
                 [
                     str(r["n_rows"]),
                     f"{r['exact_drives_per_second']:.0f}",
-                    f"{r['binned_drives_per_second']:.0f}",
+                    f"{r['arena_drives_per_second']:.0f}",
                     f"{r['speedup']:.2f}x",
-                    f"{1e3 * r['binned_lane_seconds']:.1f}",
-                    f"{1e3 * r['binned_partition_seconds']:.1f}",
+                    f"{1e3 * r['lane_seconds']:.1f}",
+                    f"{1e3 * r['partition_seconds']:.1f}",
                     r["walk"],
                 ]
                 for r in records
@@ -221,7 +205,7 @@ def test_predict_speedup(tmp_path):
                     "",
                 ]
             ],
-            title="Binned forest-arena inference (RF 40x d12)",
+            title="Forest-arena inference (RF 40x d12)",
         ),
     )
 

@@ -10,33 +10,14 @@ tree at once: the working state is a single flat array of
 self-loop (``child[2n] == child[2n+1] == n``) so finished lanes idle
 harmlessly while deep lanes keep walking.
 
-Two engines share the packed layout:
-
-* **binned** (default) — each feature gets a sorted *code table*: the
-  PR-5 training bin edges (when the model was hist-trained or an
-  artifact supplies a bin-edge snapshot) refined with every node
-  threshold the ensemble actually splits on.  Rows are encoded once
-  (``searchsorted(table, v, side="left")``) and each node compares
-  codes against its pre-quantized code threshold.
-  Because every threshold is *in* its table,
-  ``code(v) <= code(t)  ⟺  v <= t`` exactly — integer compares decide
-  every split bit-identically to the float engine, with no per-node
-  fallback path.
-* **float** — compares raw feature values against the stored float
-  thresholds, exactly the comparisons the per-tree loops make, just
-  batched.  Used when a code table cannot be built (pathological
-  threshold cardinality) or when forced via
-  :func:`set_inference_mode`.
-
-Inference-time NaN policy (see ``_Tree.predict_value``): ``NaN <= t``
-is False, so missing values route RIGHT in the float engine; the
-reserved NaN code (``table.size + 1``) sorts above every code
-threshold, so the binned engine routes the same rows right — and the
-comparison is a deterministic integer compare, not a NaN-poisoned
-float one.
+Each split compares a raw feature value against its stored float
+threshold, exactly the comparison the seed's per-tree loops make, just
+batched.  Inference-time NaN policy (see ``_Tree.predict_value``):
+``NaN <= t`` is False, so missing values route RIGHT.
 
 Two walks read the same column-major ``(features, rows)`` input and
-return leaves as ``(trees, rows)``:
+return leaves as ``(trees, rows)``; :meth:`ForestArena.encode` lays a
+row batch out that way:
 
 * **lanes** (:meth:`ForestArena._descend`) — every ``(tree, row)`` lane
   steps one level per pass, for up to ``max_depth`` passes.  Cheapest
@@ -52,7 +33,7 @@ Both make exactly the comparisons of the per-tree loops, so they agree
 bit for bit.  Aggregation preserves the seed's float accumulation order
 (a sequential per-tree loop, never a pairwise ``np.sum`` over the tree
 axis) so ensemble probabilities — not just alarms — stay bit-identical
-at any engine, walk and row chunking.
+at any walk and row chunking.
 """
 
 from __future__ import annotations
@@ -64,17 +45,7 @@ import numpy as np
 from repro.ml.tree import _NO_SPLIT, _Tree
 from repro.obs import inc_counter, observe_histogram
 
-__all__ = [
-    "ArenaCached",
-    "ForestArena",
-    "cached_arena",
-    "exact_mode",
-    "get_inference_mode",
-    "set_inference_mode",
-]
-
-_MODES = ("auto", "exact", "float", "binned")
-_inference_mode = "auto"
+__all__ = ["ArenaCached", "ForestArena", "cached_arena"]
 
 #: Lane budget per descent chunk: each step materializes a handful of
 #: per-lane temporaries (~8 bytes/lane each), so chunking rows keeps
@@ -93,51 +64,17 @@ _MAX_LANES = 1 << 22
 _PARTITION_MIN_ROWS = 1024
 _PARTITION_LANE_STEPS_PER_NODE = 1024
 
-#: Per-feature code-table ceiling. The leaf sentinel cut (0xFFFF) must
-#: exceed every real code (and the NaN code ``table.size + 1``); a
-#: feature split on more distinct thresholds than this (pathological)
-#: sends the arena to the float engine instead.
-_MAX_TABLE = 65000
-
-
-def set_inference_mode(mode: str) -> str:
-    """Select the prediction engine; returns the previous mode.
-
-    ``auto`` (default) uses the binned engine whenever the ensemble's
-    code tables exist and the float arena otherwise; ``exact`` restores
-    the seed's per-tree descent loops (the escape hatch the parity
-    gates diff against); ``float``/``binned`` force one arena engine.
-    """
-    global _inference_mode
-    if mode not in _MODES:
-        raise ValueError(f"unknown inference mode {mode!r}; choose from {_MODES}")
-    previous = _inference_mode
-    _inference_mode = mode
-    return previous
-
-
-def get_inference_mode() -> str:
-    return _inference_mode
-
-
-def exact_mode() -> bool:
-    """Whether callers should bypass the arena entirely."""
-    return _inference_mode == "exact"
-
 
 def cached_arena(model, build) -> "ForestArena":
     """Return the model's arena, building (and caching) it on first use.
 
     ``fit`` resets ``model._arena_`` to None, so refits rebuild; models
     unpickled from pre-arena checkpoints lack the attribute and build
-    lazily.  Bin edges stashed by hist training (``model.bin_edges_``)
-    seed the code tables when present.
+    lazily.
     """
     arena = model.__dict__.get("_arena_")
     if arena is None:
-        arena = build()
-        arena.build_code_tables(getattr(model, "bin_edges_", None))
-        model._arena_ = arena
+        arena = model._arena_ = build()
     return arena
 
 
@@ -145,7 +82,7 @@ class ArenaCached:
     """Mixin for ensembles that cache their arena in ``_arena_``.
 
     The arena is derived data, larger than the trees it packs (more so
-    once its partition programs are built), so pickles (checkpoints,
+    once its partition program is built), so pickles (checkpoints,
     ``model.pkl``, ``pickle``-kind artifacts) leave it out and
     :func:`cached_arena` rebuilds it on the first predict after loading.
     """
@@ -172,14 +109,10 @@ class ForestArena:
         self.roots = roots
         self.n_features = int(n_features)
         self.max_depth = int(max_depth)
-        self.is_split = feature != _NO_SPLIT
         # Leaves gather feature 0 (any valid column) — their comparison
         # result is discarded because they self-loop.
-        self.gather_feature = np.where(self.is_split, feature, 0)
-        self.code_tables = None
-        self.code_cut = None
-        self.base = None
-        self.programs = {}
+        self.gather_feature = np.where(feature != _NO_SPLIT, feature, 0)
+        self.program = None
 
     # ---------------------------------------------------------- build
 
@@ -188,10 +121,9 @@ class ForestArena:
         """BFS permutation placing every split's children adjacently.
 
         Returns ``(order, new_pos, depth)`` — new-id → old-id, its
-        inverse, and the tree's leaf depth (BFS level count).  After
-        permutation ``right == left + 1`` for every split node, which
-        lets the binned walk address both children off one base index
-        (``next = base + went_right``).
+        inverse, and the tree's leaf depth (BFS level count), which
+        bounds the lane walk.  After permutation ``right == left + 1``
+        for every split node.
         """
         n = feature_arr.size
         order = np.zeros(n, dtype=np.int64)
@@ -222,8 +154,7 @@ class ForestArena:
 
         Nodes are re-ordered breadth-first per tree (see
         :meth:`_sibling_order`) — prediction only cares about the graph,
-        not the growth order, and the sibling-adjacent layout is what
-        the packed binned walk relies on.
+        not the growth order.
 
         ``tree_columns`` maps each tree's local output columns onto the
         ensemble's (forests bootstrap, so member trees can know fewer
@@ -283,94 +214,24 @@ class ForestArena:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    @property
-    def has_codes(self) -> bool:
-        return self.code_tables is not None
-
-    def build_code_tables(self, bin_edges=None) -> None:
-        """Build per-feature code tables and quantize node thresholds.
-
-        Each table is the sorted union of the feature's training bin
-        edges (when supplied — the PR-5 snapshot) and every threshold
-        the packed trees split that feature on.  A node's code
-        threshold is its threshold's exact position in the table, so
-        ``code(v) <= code_threshold ⟺ v <= threshold`` — integer
-        descent reproduces float descent bit-for-bit.
-
-        Alongside the tables, the binned walk gets base-addressed
-        children: after :meth:`_sibling_order` every split's children
-        are adjacent, so ``base + went_right`` reaches either one off a
-        single gather.  Leaves store ``base`` = themselves and
-        ``cut = 0xFFFF`` — ≥ every code including the reserved NaN
-        code — so a lane at its leaf always "goes left" and stays put.
-        """
-        tables: list[np.ndarray] = []
-        split_features = self.feature[self.is_split]
-        split_thresholds = self.threshold[self.is_split]
-        for f in range(self.n_features):
-            used = split_thresholds[split_features == f]
-            if bin_edges is not None and f < len(bin_edges):
-                seeded = np.concatenate(
-                    [np.asarray(bin_edges[f], dtype=float), used]
-                )
-            else:
-                seeded = used
-            table = np.unique(seeded)  # sorted + deduplicated
-            if table.size > _MAX_TABLE:
-                # Pathological cardinality: leave the arena on the
-                # float engine rather than overflow the code space.
-                self.code_tables = None
-                self.code_cut = None
-                self.base = None
-                return
-            tables.append(table)
-        code_threshold = np.zeros(self.n_nodes, dtype=np.int64)
-        split_nodes = np.flatnonzero(self.is_split)
-        for f in np.unique(split_features):
-            mask = split_features == f
-            code_threshold[split_nodes[mask]] = np.searchsorted(
-                tables[f], split_thresholds[mask], side="left"
-            )
-        self.code_tables = tables
-        node_ids = np.arange(self.n_nodes, dtype=np.int64)
-        self.base = np.where(self.is_split, self.child[0::2], node_ids)
-        self.code_cut = np.where(self.is_split, code_threshold, 0xFFFF)
-
     # -------------------------------------------------------- descent
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        """Encode a float batch to ``(n_features, rows)`` codes.
+        """Lay a ``(rows, features)`` batch out as the walks' input.
 
-        Same semantics as :mod:`repro.ml.binning`:
-        ``searchsorted(table, v, side="left")`` with NaN mapped to the
-        reserved top code ``table.size + 1``.  Codes are int64 so every
-        arithmetic step of the walk stays in one dtype (mixed-width
-        integer ops cost an extra cast pass per element).
+        Both walks read one feature's values across a row chunk, so the
+        batch is transposed to column-major ``(n_features, rows)``: each
+        column contiguous for the price of one copy.
         """
-        started = time.perf_counter()
-        # searchsorted walks each column; the transposed copy makes
-        # every column contiguous for the price of one memcpy.
-        columns = np.ascontiguousarray(X.T)
-        codes = np.empty((self.n_features, X.shape[0]), dtype=np.int64)
-        for j, table in enumerate(self.code_tables):
-            column = columns[j]
-            column_codes = np.searchsorted(table, column, side="left")
-            nan_rows = np.isnan(column)
-            if nan_rows.any():
-                column_codes = np.where(nan_rows, table.size + 1, column_codes)
-            codes[j] = column_codes
-        observe_histogram(
-            "predict_encode_seconds", time.perf_counter() - started
-        )
-        return codes
+        return np.ascontiguousarray(X.T)
 
-    def _descend(self, columns: np.ndarray, engine: str) -> np.ndarray:
+    def _descend(self, columns: np.ndarray) -> np.ndarray:
         """One vectorized multi-tree walk over flattened lanes.
 
-        ``columns`` is the column-major ``(n_features, rows)`` batch —
-        float values, or codes when ``engine == "binned"``.  Lanes are
-        the flattened ``(trees, rows)`` matrix, and the returned array
-        holds each lane's absolute leaf index in that shape.  Feature
+        ``columns`` is the column-major ``(n_features, rows)`` batch from
+        :meth:`encode`.  Lanes are the flattened ``(trees, rows)``
+        matrix, and the returned array holds each lane's absolute leaf
+        index in that shape.  Feature
         lookups go through one flat 1-D gather
         (``feature * n_rows + row``) instead of 2-D advanced indexing,
         and children through the interleaved
@@ -388,25 +249,15 @@ class ForestArena:
         row_offset = np.tile(np.arange(n_rows, dtype=np.int64), self.n_trees)
         flat = columns.reshape(-1)
         column_start = self.gather_feature * n_rows
-        if engine == "binned":
-            cuts = self.code_cut
-            base = self.base
+        threshold = self.threshold
+        child = self.child
 
-            def step(cur: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-                code = flat[offsets + column_start[cur]]
-                # Leaves carry cut = 0xFFFF ≥ every code (NaN included),
-                # so they add 0 and stay on base = themselves.
-                return base[cur] + (code > cuts[cur])
-        else:
-            threshold = self.threshold
-            child = self.child
-
-            def step(cur: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-                value = flat[offsets + column_start[cur]]
-                # ``~(v <= t)`` rather than ``v > t``: both NaN-compares
-                # are False, and left must win only when ``v <= t``.
-                went_right = ~(value <= threshold[cur])
-                return child[(cur << 1) + went_right]
+        def step(cur: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+            value = flat[offsets + column_start[cur]]
+            # ``~(v <= t)`` rather than ``v > t``: both NaN-compares
+            # are False, and left must win only when ``v <= t``.
+            went_right = ~(value <= threshold[cur])
+            return child[(cur << 1) + went_right]
 
         # The walk needs exactly max_depth steps — lanes that reach
         # their leaf sooner self-loop harmlessly.  A lane that stops
@@ -438,27 +289,24 @@ class ForestArena:
             live = live[moved]
         return nodes.reshape(shape)
 
-    def _program(self, engine: str) -> list[tuple]:
-        """Every node as a plain ``(feature, cut, left, right)`` tuple.
+    def _program(self) -> list[tuple]:
+        """Every node as a plain ``(feature, threshold, left, right)`` tuple.
 
         Indexed by absolute node id, so each tree's nodes keep their BFS
-        order.  The cut is the float threshold, or the code cut on the
-        binned engine; leaves carry feature ``_NO_SPLIT``.  Built once
-        per engine: the partition walk reads one node per Python step,
-        and tuple unpacking is far cheaper there than numpy scalar reads.
+        order; leaves carry feature ``_NO_SPLIT``.  Built once: the
+        partition walk reads one node per Python step, and tuple
+        unpacking is far cheaper there than numpy scalar reads.
         """
-        # Arenas unpickled from older checkpoints lack the cache.
-        programs = self.__dict__.setdefault("programs", {})
-        program = programs.get(engine)
+        # Arenas unpickled from older checkpoints lack the attribute.
+        program = getattr(self, "program", None)
         if program is None:
-            cuts = self.code_cut if engine == "binned" else self.threshold
-            program = programs[engine] = list(zip(
-                self.feature.tolist(), cuts.tolist(),
+            program = self.program = list(zip(
+                self.feature.tolist(), self.threshold.tolist(),
                 self.child[0::2].tolist(), self.child[1::2].tolist(),
             ))
         return program
 
-    def _partition(self, columns: np.ndarray, engine: str) -> np.ndarray:
+    def _partition(self, columns: np.ndarray) -> np.ndarray:
         """Per-tree row partition: one column compare per visited node.
 
         Same input and output as :meth:`_descend`.  The root holds every
@@ -469,7 +317,7 @@ class ForestArena:
         never visited.  ``NaN <= cut`` is False, so NaN rows go right
         exactly as in the lane walk.
         """
-        program = self._program(engine)
+        program = self._program()
         n_rows = columns.shape[1]
         by_feature = list(columns)
         leaves = np.empty((self.n_trees, n_rows), dtype=np.int64)
@@ -495,19 +343,6 @@ class ForestArena:
                     pending.append((right, rows.compress(~went_left)))
         return leaves
 
-    def _choose_engine(self) -> str:
-        mode = get_inference_mode()
-        if mode == "binned":
-            if not self.has_codes:
-                raise RuntimeError(
-                    "binned inference forced but no code tables could be "
-                    "built for this ensemble"
-                )
-            return "binned"
-        if mode == "float":
-            return "float"
-        return "binned" if self.has_codes else "float"
-
     def _chunk_rows(self) -> int:
         return max(1, _MAX_LANES // max(1, self.n_trees))
 
@@ -527,11 +362,7 @@ class ForestArena:
         been consumed, so it spans encode, descent and aggregation.
         """
         started = time.perf_counter()
-        engine = self._choose_engine()
-        if engine == "binned":
-            columns = self.encode(X)
-        else:
-            columns = np.ascontiguousarray(X.T)
+        columns = self.encode(X)
         chunk = self._chunk_rows()
         min_rows = self.partition_min_rows()
         for start in range(0, X.shape[0], chunk):
@@ -540,11 +371,11 @@ class ForestArena:
             n_rows = part.shape[1]
             if n_rows >= min_rows:
                 inc_counter("predict_partition_rows_total", float(n_rows))
-                yield span, self._partition(part, engine)
+                yield span, self._partition(part)
             else:
-                yield span, self._descend(part, engine)
-        inc_counter("predict_requests_total", engine=engine)
-        inc_counter("predict_rows_total", float(X.shape[0]), engine=engine)
+                yield span, self._descend(part)
+        inc_counter("predict_requests_total", engine="float")
+        inc_counter("predict_rows_total", float(X.shape[0]), engine="float")
         observe_histogram(
             "predict_batch_seconds", time.perf_counter() - started
         )

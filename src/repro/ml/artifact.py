@@ -26,9 +26,9 @@ Tree-family models (``DecisionTree*``, ``RandomForest*``,
 ``GradientBoostingClassifier``) are stored natively: per-tree node
 arrays flat-concatenated with node counts (the same packed idiom as
 :class:`repro.ml.arena.ForestArena`), leaf-value blocks padded to the
-widest class count, and the PR-5 bin-edge snapshot so a loaded model
-rebuilds its binned prediction engine bit-identically — probabilities
-AND alarms match the model that was saved, at any ``n_jobs``.
+widest class count, and the training bin-edge snapshot. A loaded model
+predicts bit-identically — probabilities AND alarms match the model
+that was saved, at any ``n_jobs``.
 
 Provenance mirrors the run manifest (:mod:`repro.obs.manifest`): the
 config hash digests the estimator's constructor knobs and an optional
@@ -437,10 +437,9 @@ def load_model(directory: str | Path):
     Raises :class:`ArtifactCorruptError` on truncation, content-hash
     mismatch, schema-version mismatch, or an undecodable payload;
     ``FileNotFoundError`` when ``directory`` holds no artifact.  The
-    returned model predicts bit-identically to the one saved
-    (including through the binned arena, rebuilt from the stored
-    bin-edge snapshot) and is independent of the directory it was
-    saved in.
+    returned model predicts bit-identically to the one saved (through
+    the forest arena, rebuilt on the first predict) and is independent
+    of the directory it was saved in.
     """
     path = Path(directory)
     manifest = _load_manifest(path)

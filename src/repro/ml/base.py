@@ -74,16 +74,24 @@ def clone(estimator: BaseClassifier) -> BaseClassifier:
     return type(estimator)(**estimator.get_params())
 
 
-def check_X_y(X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
+def _check_ndim(X: np.ndarray, ndims: tuple[int, ...]) -> None:
+    if X.ndim not in ndims:
+        allowed = " or ".join(f"{n}-D" for n in ndims)
+        raise ValueError(f"X must be {allowed}, got shape {X.shape}")
+
+
+def check_X_y(
+    X: Any, y: Any, ndims: tuple[int, ...] = (2, 3)
+) -> tuple[np.ndarray, np.ndarray]:
     """Validate and convert a feature matrix / label vector pair.
 
     Sequence inputs of shape ``(n, t, f)`` are accepted for the neural
-    models; everything else must be 2-D.
+    models; tabular models (the trees and their ensembles) pass
+    ``ndims=(2,)`` to admit only ``(rows, features)`` matrices.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    if X.ndim not in (2, 3):
-        raise ValueError(f"X must be 2-D or 3-D, got shape {X.shape}")
+    _check_ndim(X, ndims)
     if y.ndim != 1:
         raise ValueError(f"y must be 1-D, got shape {y.shape}")
     if X.shape[0] != y.shape[0]:
@@ -95,11 +103,13 @@ def check_X_y(X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def check_X(X: Any, n_features: int | None = None) -> np.ndarray:
-    """Validate a prediction-time feature matrix."""
+def check_X(
+    X: Any, n_features: int | None = None, ndims: tuple[int, ...] = (2, 3)
+) -> np.ndarray:
+    """Validate a prediction-time feature matrix (``ndims`` as in
+    :func:`check_X_y`)."""
     X = np.asarray(X, dtype=float)
-    if X.ndim not in (2, 3):
-        raise ValueError(f"X must be 2-D or 3-D, got shape {X.shape}")
+    _check_ndim(X, ndims)
     if n_features is not None and X.shape[-1] != n_features:
         raise ValueError(
             f"X has {X.shape[-1]} features but the model was fitted with {n_features}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.arena import ArenaCached, ForestArena, cached_arena, exact_mode
+from repro.ml.arena import ArenaCached, ForestArena, cached_arena
 from repro.ml.base import BaseClassifier, check_X, check_X_y
 from repro.ml.binning import BinnedDataset
 from repro.ml.tree import (
@@ -148,9 +148,7 @@ class RandomForestClassifier(ArenaCached, BaseClassifier):
     def fit(
         self, X: np.ndarray, y: np.ndarray, binned: BinnedDataset | None = None
     ) -> "RandomForestClassifier":
-        X, y = check_X_y(X, y)
-        if X.ndim != 2:
-            raise ValueError("RandomForestClassifier expects 2-D input")
+        X, y = check_X_y(X, y, ndims=(2,))
         self.classes_ = np.unique(y)
         self.n_features_ = X.shape[1]
         _fit_members(
@@ -179,16 +177,10 @@ class RandomForestClassifier(ArenaCached, BaseClassifier):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        X = check_X(X, self.n_features_)
+        X = check_X(X, self.n_features_, ndims=(2,))
         tree_columns = getattr(self, "_tree_columns_", None)
         if tree_columns is None:  # forests unpickled from older checkpoints
             tree_columns = self._tree_columns_ = self._align_tree_columns()
-        if exact_mode():
-            aggregate = np.zeros((X.shape[0], self.classes_.size))
-            for tree, columns in zip(self.trees_, tree_columns):
-                aggregate[:, columns] += tree.predict_proba(X)
-            aggregate /= len(self.trees_)
-            return aggregate
         arena = cached_arena(
             self,
             lambda: ForestArena.from_trees(
@@ -249,9 +241,7 @@ class RandomForestRegressor(ArenaCached):
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not hasattr(self, "trees_"):
             raise RuntimeError("RandomForestRegressor is not fitted yet")
-        X = check_X(X, self.n_features_)
-        if exact_mode():
-            return np.mean([tree._predict(X) for tree in self.trees_], axis=0)
+        X = check_X(X, self.n_features_, ndims=(2,))
         arena = cached_arena(
             self,
             lambda: ForestArena.from_trees(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.arena import ArenaCached, ForestArena, cached_arena, exact_mode
+from repro.ml.arena import ArenaCached, ForestArena, cached_arena
 from repro.ml.base import BaseClassifier, check_X, check_X_y
 from repro.ml.binning import BinnedDataset
 from repro.ml.tree import (
@@ -85,9 +85,7 @@ class GradientBoostingClassifier(ArenaCached, BaseClassifier):
     def _fit(
         self, X: np.ndarray, y: np.ndarray, binned: BinnedDataset | None = None
     ) -> None:
-        X, y = check_X_y(X, y)
-        if X.ndim != 2:
-            raise ValueError("GradientBoostingClassifier expects 2-D input")
+        X, y = check_X_y(X, y, ndims=(2,))
         self.classes_ = np.unique(y)
         if self.classes_.size != 2:
             raise ValueError("GradientBoostingClassifier is binary")
@@ -146,12 +144,7 @@ class GradientBoostingClassifier(ArenaCached, BaseClassifier):
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw additive score (log-odds scale)."""
         self._check_fitted()
-        X = check_X(X, self.n_features_)
-        if exact_mode():
-            raw = np.full(X.shape[0], self.initial_score_)
-            for tree in self.trees_:
-                raw += self.learning_rate * tree._predict(X)
-            return raw
+        X = check_X(X, self.n_features_, ndims=(2,))
         arena = cached_arena(
             self,
             lambda: ForestArena.from_trees(

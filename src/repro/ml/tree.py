@@ -121,11 +121,10 @@ class _Tree:
         Inference-time NaN policy: ``NaN <= threshold`` evaluates
         False, so a row whose split feature is missing deterministically
         routes RIGHT at that node.  This is a contract, not an
-        accident — the binned engine (:mod:`repro.ml.arena`) maps NaN
-        to the reserved top bin (``edges.size + 1``), which sorts above
-        every quantized code threshold and therefore routes the same
-        rows right, keeping both engines bit-identical on missing
-        values.  Pinned by ``tests/ml/test_arena.py``.
+        accident — the forest arena (:mod:`repro.ml.arena`) makes the
+        same ``<=`` compare and routes the same rows right, keeping it
+        bit-identical to this loop on missing values.  Pinned by
+        ``tests/ml/test_arena.py``.
         """
         nodes = np.zeros(X.shape[0], dtype=np.int64)
         active = self.feature_arr[nodes] != _NO_SPLIT
@@ -822,9 +821,7 @@ class DecisionTreeClassifier(BaseClassifier):
         sample_weight: np.ndarray | None = None,
         binned: BinnedDataset | None = None,
     ) -> "DecisionTreeClassifier":
-        X, y = check_X_y(X, y)
-        if X.ndim != 2:
-            raise ValueError("DecisionTreeClassifier expects 2-D input")
+        X, y = check_X_y(X, y, ndims=(2,))
         self.classes_, y_codes = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
         if sample_weight is None:
@@ -843,15 +840,13 @@ class DecisionTreeClassifier(BaseClassifier):
         if total_importance > 0:
             importances /= total_importance
         self.feature_importances_ = importances
-        # Snapshot the training bin edges so the arena's binned engine
-        # (and saved artifacts) can encode inference batches without
-        # refitting quantiles.
+        # Snapshot the training bin edges for saved artifacts.
         self.bin_edges_ = None if binned is None else binned.bin_edges
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        X = check_X(X, self.n_features_)
+        X = check_X(X, self.n_features_, ndims=(2,))
         return self.tree_.predict_value(X)
 
 
@@ -896,7 +891,7 @@ class DecisionTreeRegressor:
             raise RuntimeError(
                 "DecisionTreeRegressor is not fitted yet; call fit() first"
             )
-        return self._predict(check_X(X, self.n_features_))
+        return self._predict(check_X(X, self.n_features_, ndims=(2,)))
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf values for a matrix the caller has already validated."""

@@ -327,10 +327,10 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
      SECONDS_BUCKETS, True),
     # ---- inference fast path (repro.ml.arena / repro.ml.artifact) ----
     ("predict_requests_total", "counter",
-     "prediction batches served by the forest arena, by engine "
-     "(float | binned)", None, False),
+     "prediction batches served by the forest arena (engine label is "
+     "always float)", None, False),
     ("predict_rows_total", "counter",
-     "rows scored by the forest arena, by engine (float | binned)",
+     "rows scored by the forest arena (engine label is always float)",
      None, False),
     ("predict_partition_rows_total", "counter",
      "rows descended by the arena's per-tree row partition (row chunks "
@@ -343,12 +343,9 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
      "versioned model artifacts loaded (and sha256-verified) by "
      "load_model", None, True),
     ("predict_batch_seconds", "histogram",
-     "wall-clock per arena predict call (encode + descent + "
-     "aggregation)",
+     "wall-clock per arena predict call (column-major layout + descent "
+     "+ aggregation)",
      SECONDS_BUCKETS, True),
-    ("predict_encode_seconds", "histogram",
-     "wall-clock per integer-code encode of an inference batch against "
-     "the refined per-feature code tables", SECONDS_BUCKETS, True),
 )
 
 

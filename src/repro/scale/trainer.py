@@ -10,8 +10,8 @@ locality argument, checked stage by stage:
   partition drives — so running them per shard and concatenating in
   shard (= serial) order reproduces the global result exactly;
 * the firmware :class:`~repro.ml.encoding.LabelEncoder` sorts its
-  classes, so fitting it on the union of per-shard vocabularies equals
-  fitting it on the concatenated column;
+  classes, so fitting it on the union of per-shard vocabularies of the
+  rows repair keeps equals fitting it on the repaired column;
 * undersampling and the chronological reorder are pure functions of the
   concatenated sample arrays plus the seed — identical inputs, so
   identical selected rows;
@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.features import FeatureAssembler
 from repro.core.labeling import FailureTimeIdentifier, SampleSet, build_samples
 from repro.core.pipeline import MFPA, MFPAConfig, EvaluationResult
-from repro.core.preprocess import PreprocessReport, preprocess
+from repro.core.preprocess import PreprocessReport, _row_map, preprocess
 from repro.ml.encoding import LabelEncoder
 from repro.ml.metrics import classification_report
 from repro.obs import trace_span
@@ -90,15 +90,24 @@ def _fit_global_encoder(
 ) -> LabelEncoder:
     """Union-fit the firmware encoder over every shard's vocabulary.
 
-    Sanitization can drop rows (and with them firmware values), so the
-    vocabulary must be collected from the *sanitized* column to match
-    what the in-RAM path encodes.
+    Sanitization and repair drop rows (and with them firmware values),
+    so the vocabulary is collected from the rows ``preprocess`` keeps
+    of the *sanitized* column, to match what the in-RAM path encodes.
+    Finding those rows costs only the repair's row map over ``serial``
+    and ``day``.
     """
     vocabulary: set = set()
     for _, raw in store.iter_shards():
         if sanitize:
             raw, _ = sanitize_dataset(raw)
-        vocabulary.update(raw.columns["firmware"].tolist())
+        kept = _row_map(
+            raw.columns["serial"],
+            raw.columns["day"],
+            config.max_gap,
+            config.fill_gap,
+            config.min_segment_records,
+        ).source
+        vocabulary.update(raw.columns["firmware"][kept].tolist())
     return LabelEncoder().fit(vocabulary)
 
 

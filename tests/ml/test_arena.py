@@ -1,34 +1,20 @@
-"""Binned forest-arena prediction engine: bit-identity and NaN routing.
+"""Forest-arena prediction: bit-identity with the per-tree loops, NaN routing.
 
 The arena (:mod:`repro.ml.arena`) packs every tree of a fitted ensemble
-into one contiguous node table and descends all (row, tree) lanes
-simultaneously — either comparing raw feature floats ("float" engine) or
-integer bin codes against quantized thresholds ("binned" engine). Both
-must reproduce the seed per-tree traversal **bit for bit**: every
-threshold appears verbatim in its feature's code table, so
-``code(v) <= code(t)`` iff ``v <= t``, and NaN routes right exactly like
-``_Tree.predict_value`` (a NaN comparison is False) via a reserved
-largest bin code.
+into one contiguous node table and descends all (row, tree) pairs at
+once, comparing raw feature floats against the stored thresholds. It
+must reproduce the seed per-tree traversal (``predict_exact`` in
+``tests/ml/arena_oracle.py``) **bit for bit**, and route NaN right
+exactly like ``_Tree.predict_value`` (a NaN comparison is False).
 """
 
 import numpy as np
 import pytest
 
-from repro.ml.arena import (
-    ForestArena,
-    get_inference_mode,
-    set_inference_mode,
-)
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.gbdt import GradientBoostingClassifier
-from repro.ml.tree import DecisionTreeClassifier
 
-
-@pytest.fixture(autouse=True)
-def restore_mode():
-    previous = get_inference_mode()
-    yield
-    set_inference_mode(previous)
+from tests.ml.arena_oracle import predict_exact
 
 
 def _problem(seed: int = 0, n: int = 400, d: int = 6):
@@ -41,21 +27,13 @@ def _problem(seed: int = 0, n: int = 400, d: int = 6):
 
 def _fresh_rows(seed: int = 99, n: int = 500, d: int = 6) -> np.ndarray:
     """Unseen rows, deliberately wider-ranged than the training data so
-    codes fall outside every table's interior as well as inside it."""
+    values fall outside every split's training range as well as inside."""
     rng = np.random.default_rng(seed)
     return rng.normal(scale=3.0, size=(n, d))
 
 
-def _with_mode(mode, fn):
-    previous = set_inference_mode(mode)
-    try:
-        return fn()
-    finally:
-        set_inference_mode(previous)
-
-
 class TestEngineParity:
-    """Float and binned engines are bit-identical to the seed loops."""
+    """The arena is bit-identical to the per-tree loops."""
 
     @pytest.mark.parametrize("algo", ["exact", "hist"])
     def test_forest_probas_bit_identical(self, algo):
@@ -64,10 +42,9 @@ class TestEngineParity:
             n_estimators=8, max_depth=6, seed=0, split_algorithm=algo
         ).fit(X, y)
         rows = _fresh_rows()
-        exact = _with_mode("exact", lambda: model.predict_proba(rows))
-        for mode in ("float", "binned", "auto"):
-            got = _with_mode(mode, lambda: model.predict_proba(rows))
-            np.testing.assert_array_equal(got, exact)
+        np.testing.assert_array_equal(
+            model.predict_proba(rows), predict_exact(model, rows)
+        )
 
     @pytest.mark.parametrize("algo", ["exact", "hist"])
     def test_gbdt_probas_bit_identical(self, algo):
@@ -76,10 +53,10 @@ class TestEngineParity:
             n_estimators=12, max_depth=3, split_algorithm=algo
         ).fit(X, y)
         rows = _fresh_rows(seed=7)
-        exact = _with_mode("exact", lambda: model.predict_proba(rows))
-        for mode in ("float", "binned", "auto"):
-            got = _with_mode(mode, lambda: model.predict_proba(rows))
-            np.testing.assert_array_equal(got, exact)
+        # predict_proba is a pure function of this raw score.
+        np.testing.assert_array_equal(
+            model.decision_function(rows), predict_exact(model, rows)
+        )
 
     def test_forest_regressor_bit_identical(self):
         X, _ = _problem(seed=2)
@@ -88,10 +65,9 @@ class TestEngineParity:
             X, y
         )
         rows = _fresh_rows(seed=3)
-        exact = _with_mode("exact", lambda: model.predict(rows))
-        for mode in ("float", "binned", "auto"):
-            got = _with_mode(mode, lambda: model.predict(rows))
-            np.testing.assert_array_equal(got, exact)
+        np.testing.assert_array_equal(
+            model.predict(rows), predict_exact(model, rows)
+        )
 
     def test_alarm_parity(self):
         """Thresholded alarms — the operational output — are identical,
@@ -101,9 +77,9 @@ class TestEngineParity:
             n_estimators=10, max_depth=8, seed=0
         ).fit(X, y)
         rows = _fresh_rows(seed=5)
-        exact = _with_mode("exact", lambda: model.predict_proba(rows))[:, 1]
-        binned = _with_mode("binned", lambda: model.predict_proba(rows))[:, 1]
-        np.testing.assert_array_equal(binned >= 0.5, exact >= 0.5)
+        exact = predict_exact(model, rows)[:, 1]
+        arena = model.predict_proba(rows)[:, 1]
+        np.testing.assert_array_equal(arena >= 0.5, exact >= 0.5)
 
     def test_unbounded_depth_parity(self):
         """max_depth=None trees terminate through the arena's measured
@@ -111,22 +87,22 @@ class TestEngineParity:
         X, y = _problem(seed=6, n=600)
         model = RandomForestClassifier(n_estimators=4, seed=0).fit(X, y)
         rows = _fresh_rows(seed=8)
-        exact = _with_mode("exact", lambda: model.predict_proba(rows))
-        binned = _with_mode("binned", lambda: model.predict_proba(rows))
-        np.testing.assert_array_equal(binned, exact)
+        np.testing.assert_array_equal(
+            model.predict_proba(rows), predict_exact(model, rows)
+        )
 
 
 class TestNaNRouting:
     """The pinned NaN contract: a NaN feature fails ``value <= threshold``
-    at every split and routes right, in ``_Tree.predict_value``, the
-    float engine, and the binned engine's reserved NaN bin alike."""
+    at every split and routes right, in ``_Tree.predict_value`` and both
+    arena walks alike."""
 
     def _nan_fixture(self):
         X, y = _problem(seed=11)
         model = RandomForestClassifier(
             n_estimators=5, max_depth=6, seed=0
         ).fit(X, y)
-        _with_mode("auto", lambda: model.predict_proba(X[:4]))  # build arena
+        model.predict_proba(X[:4])  # build the arena
         rows = _fresh_rows(seed=12, n=64)
         rows[::3, 0] = np.nan
         rows[::5, 3] = np.nan
@@ -152,56 +128,32 @@ class TestNaNRouting:
                 )
 
     def test_engines_match_trees_on_nan(self):
+        """``check_X`` rejects NaN, so the rows go straight into both
+        walks: lanes and row partition."""
         model, rows = self._nan_fixture()
         arena = model._arena_
-        float_leaves = arena._descend(np.ascontiguousarray(rows.T), "float")
-        binned_leaves = arena._descend(arena.encode(rows), "binned")
-        np.testing.assert_array_equal(binned_leaves, float_leaves)
+        columns = arena.encode(rows)
+        lane_leaves = arena._descend(columns)
+        np.testing.assert_array_equal(arena._partition(columns), lane_leaves)
         expected = np.stack(
             [m.tree_.predict_value(rows) for m in model.trees_], axis=1
         )
-        got = arena.values[float_leaves.T]
+        got = arena.values[lane_leaves.T]
         np.testing.assert_array_equal(got[:, :, : expected.shape[2]], expected)
-
-    def test_nan_codes_use_reserved_bin(self):
-        model, rows = self._nan_fixture()
-        arena = model._arena_
-        codes = arena.encode(rows)
-        for feature_index in range(arena.n_features):
-            table = arena.code_tables[feature_index]
-            nan_rows = np.isnan(rows[:, feature_index])
-            assert np.all(codes[feature_index, nan_rows] == table.size + 1)
-            assert np.all(codes[feature_index, ~nan_rows] <= table.size)
 
 
 class TestModeControl:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown inference mode"):
-            set_inference_mode("vectorized")
-
-    def test_set_returns_previous(self):
-        first = set_inference_mode("exact")
-        assert set_inference_mode(first) == "exact"
-
-    def test_forced_binned_without_tables_raises(self):
-        X, y = _problem(seed=13)
-        trees = [
-            DecisionTreeClassifier(max_depth=3, seed=0).fit(X, y).tree_
-        ]
-        arena = ForestArena.from_trees(trees, n_features=X.shape[1])
-        set_inference_mode("binned")
-        with pytest.raises(RuntimeError, match="code tables"):
-            arena.predict_mean(X[:8])
+    """The arena cached on the model."""
 
     def test_cached_arena_reused_and_reset_by_fit(self):
         X, y = _problem(seed=14)
         model = RandomForestClassifier(n_estimators=3, max_depth=4, seed=0).fit(
             X, y
         )
-        _with_mode("auto", lambda: model.predict_proba(X[:8]))
+        model.predict_proba(X[:8])
         first = model._arena_
         assert first is not None
-        _with_mode("auto", lambda: model.predict_proba(X[:8]))
+        model.predict_proba(X[:8])
         assert model._arena_ is first
         model.fit(X, y)
         assert model._arena_ is None

@@ -5,9 +5,9 @@ every ``(tree, row)`` pair stepping one level per pass) or by per-tree
 row partition (:meth:`ForestArena._partition`, one column compare per
 visited node). Which walk a chunk takes depends only on its size and
 the forest's shape, so both must agree bit for bit with each other and
-with ``exact`` mode — on both engines, for every ensemble aggregation,
-across NaN routing, lone-root trees, empty batches, the walk threshold
-and row chunking.
+with the per-tree loops (``predict_exact``) — for every ensemble
+aggregation, across NaN routing, lone-root trees, empty batches, the
+walk threshold and row chunking.
 """
 
 from __future__ import annotations
@@ -18,29 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import arena
-from repro.ml.arena import get_inference_mode, set_inference_mode
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.gbdt import GradientBoostingClassifier
 from repro.obs import get_registry
 
-ENGINES = ("float", "binned")
+from tests.ml.arena_oracle import predict_exact
+
 #: A threshold far above every batch here: every chunk walks lanes.
 NEVER = 1 << 40
-
-
-@pytest.fixture(autouse=True)
-def restore_mode():
-    previous = get_inference_mode()
-    yield
-    set_inference_mode(previous)
-
-
-def _with_mode(mode, fn):
-    previous = set_inference_mode(mode)
-    try:
-        return fn()
-    finally:
-        set_inference_mode(previous)
+#: Walk -> the partition threshold that forces it on every chunk.
+WALKS = {"lanes": NEVER, "partition": 0}
 
 
 def _walk_at(monkeypatch, min_rows: int, steps_per_node: int = 0) -> None:
@@ -99,6 +86,17 @@ MODELS = (
     ("predict_stack", _regressor, lambda m, X: m.predict(X)),
     ("predict_raw", _gbdt, lambda m, X: m.decision_function(X)),
 )
+NAMES = [m[0] for m in MODELS]
+
+#: The same aggregations called on the arena itself, past the models'
+#: input validation (which rejects NaN).
+ARENA_PREDICTS = {
+    "predict_mean": lambda m, X: m._arena_.predict_mean(X),
+    "predict_stack": lambda m, X: np.mean(m._arena_.predict_stack(X), axis=0),
+    "predict_raw": lambda m, X: m._arena_.predict_raw(
+        X, m.initial_score_, m.learning_rate
+    ),
+}
 
 
 def _fitted(name: str, algo: str):
@@ -115,49 +113,57 @@ def _assert_same_bytes(got: np.ndarray, expected: np.ndarray) -> None:
 
 
 @pytest.mark.parametrize("algo", ["exact", "hist"])
-@pytest.mark.parametrize("name", [m[0] for m in MODELS])
-@pytest.mark.parametrize("engine", ENGINES)
-def test_walks_match_exact_mode(monkeypatch, engine, name, algo):
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("walk", WALKS)
+def test_walks_match_oracle(monkeypatch, walk, name, algo):
     model, predict = _fitted(name, algo)
     rows = _rows(3, 257)
-    expected = _with_mode("exact", lambda: predict(model, rows))
-    _walk_at(monkeypatch, NEVER)
-    lanes = _with_mode(engine, lambda: predict(model, rows))
-    _walk_at(monkeypatch, 0)
-    partition = _with_mode(engine, lambda: predict(model, rows))
-    _assert_same_bytes(lanes, expected)
-    _assert_same_bytes(partition, expected)
+    _walk_at(monkeypatch, WALKS[walk])
+    _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
 
 
-@pytest.mark.parametrize("name", [m[0] for m in MODELS])
-@pytest.mark.parametrize("engine", ENGINES)
-def test_chunks_straddle_the_threshold(monkeypatch, engine, name):
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("walk", WALKS)
+def test_rows_on_split_thresholds(monkeypatch, walk, name):
+    """A value equal to its split's threshold goes left (``v <= t``):
+    random rows almost never hit a threshold, these hit one per cell."""
+    model, predict = _fitted(name, "exact")
+    predict(model, _rows(5, 2))  # build the arena
+    table = model._arena_
+    rng = np.random.default_rng(12)
+    rows = _rows(13, 200)
+    for feature, column in enumerate(rows.T):
+        cuts = table.threshold[table.feature == feature]
+        if cuts.size:
+            column[:] = rng.choice(cuts, column.size)
+    _walk_at(monkeypatch, WALKS[walk])
+    _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_chunks_straddle_the_threshold(monkeypatch, name):
     """Small ``_MAX_LANES`` splits a batch into chunks; full chunks
     partition, the short tail walks lanes, and the result is unchanged."""
     model, predict = _fitted(name, "hist")
     rows = _rows(4, 150)
-    expected = _with_mode("exact", lambda: predict(model, rows))
     n_trees = len(model.trees_)
     monkeypatch.setattr(arena, "_MAX_LANES", 64 * n_trees)  # 64-row chunks
     _walk_at(monkeypatch, 40)  # 64, 64 partition; 22 lanes
     registry = get_registry()
     registry.reset()
-    got = _with_mode(engine, lambda: predict(model, rows))
-    _assert_same_bytes(got, expected)
+    _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
     assert registry.counter("predict_partition_rows_total").value == 128
 
 
-def _assert_boundary(model, predict, engine) -> None:
+def _assert_boundary(model, predict) -> None:
     """A chunk of ``partition_min_rows()`` rows is partitioned (and
-    counted); one row fewer walks lanes.  Both match ``exact`` mode."""
+    counted); one row fewer walks lanes.  Both match the oracle."""
     threshold = model._arena_.partition_min_rows()
     registry = get_registry()
     for n_rows, partitioned in ((threshold - 1, 0), (threshold, threshold)):
         rows = _rows(n_rows, n_rows)
-        expected = _with_mode("exact", lambda: predict(model, rows))
         registry.reset()
-        got = _with_mode(engine, lambda: predict(model, rows))
-        _assert_same_bytes(got, expected)
+        _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
         counter = registry.counter("predict_partition_rows_total")
         assert counter.value == partitioned
 
@@ -167,22 +173,20 @@ def _lane_step_rule(table, steps_per_node: int) -> int:
     return -(-steps_per_node * table.n_nodes // per_row)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_threshold_boundary(monkeypatch, engine):
+def test_threshold_boundary(monkeypatch):
     model = _classifier("exact")
     predict = _fitted("predict_mean", "exact")[1]
-    _with_mode(engine, lambda: predict(model, _rows(5, 2)))
+    predict(model, _rows(5, 2))
     table = model._arena_
     _walk_at(monkeypatch, 50, steps_per_node=40)
     assert table.partition_min_rows() == _lane_step_rule(table, 40) > 50
-    _assert_boundary(model, predict, engine)
+    _assert_boundary(model, predict)
     _walk_at(monkeypatch, 300, steps_per_node=1)
     assert table.partition_min_rows() == 300
-    _assert_boundary(model, predict, engine)
+    _assert_boundary(model, predict)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_shipped_threshold_boundary(engine):
+def test_shipped_threshold_boundary():
     """Unpatched constants: lone-root trees sit on the row floor, the
     depth-3 GBDT on the lane-step rule."""
     X, _ = _problem(8)
@@ -191,70 +195,65 @@ def test_shipped_threshold_boundary(engine):
     )
     lone.predict(_rows(10, 2))
     assert lone._arena_.partition_min_rows() == arena._PARTITION_MIN_ROWS
-    _assert_boundary(lone, lambda m, rows: m.predict(rows), engine)
+    _assert_boundary(lone, lambda m, rows: m.predict(rows))
 
     gbdt, predict = _fitted("predict_raw", "hist")
     predict(gbdt, _rows(10, 2))
     table = gbdt._arena_
     rule = _lane_step_rule(table, arena._PARTITION_LANE_STEPS_PER_NODE)
     assert table.partition_min_rows() == rule > arena._PARTITION_MIN_ROWS
-    _assert_boundary(gbdt, predict, engine)
+    _assert_boundary(gbdt, predict)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_nan_rows_route_right_in_both_walks(engine):
-    """``check_X`` rejects NaN, so NaN and all-NaN rows go straight in."""
-    model = _classifier("hist")
-    model.predict_proba(_rows(6, 2))  # build the arena
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("walk", WALKS)
+def test_nan_rows_route_right(monkeypatch, walk, name):
+    """``check_X`` rejects NaN, so NaN and all-NaN rows go straight into
+    the walk, and into the arena's aggregation."""
+    model, predict = _fitted(name, "hist")
+    predict(model, _rows(6, 2))  # build the arena
     table = model._arena_
     rows = _rows(7, 90)
     rows[::3, 0] = np.nan
     rows[::4, 2] = np.nan
     rows[5] = np.nan
     rows[11] = np.nan
-    if engine == "binned":
-        columns = table.encode(rows)
-    else:
-        columns = np.ascontiguousarray(rows.T)
-    lanes = table._descend(columns, engine)
-    partition = table._partition(columns, engine)
-    assert lanes.shape == (table.n_trees, rows.shape[0])
-    _assert_same_bytes(partition, lanes)
+    descend = table._descend if walk == "lanes" else table._partition
+    leaves = descend(table.encode(rows))
+    assert leaves.shape == (table.n_trees, rows.shape[0])
+    tree_columns = getattr(model, "_tree_columns_", None)
     for t, member in enumerate(model.trees_):
-        expected = member.tree_.predict_value(rows)
-        got = table.values[partition[t]][:, model._tree_columns_[t]]
-        _assert_same_bytes(got, expected)
+        columns = [0] if tree_columns is None else tree_columns[t]
+        got = table.values[leaves[t]][:, columns]
+        _assert_same_bytes(got, member.tree_.predict_value(rows))
+    _walk_at(monkeypatch, WALKS[walk])
+    _assert_same_bytes(
+        ARENA_PREDICTS[name](model, rows), predict_exact(model, rows)
+    )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_lone_root_trees(monkeypatch, engine):
+@pytest.mark.parametrize("walk", WALKS)
+def test_lone_root_trees(monkeypatch, walk):
     X, _ = _problem(8)
     model = RandomForestRegressor(n_estimators=3, seed=0).fit(
         X, np.full(X.shape[0], 1.5)
     )
     rows = _rows(9, 30)
-    expected = _with_mode("exact", lambda: model.predict(rows))
-    for min_rows in (NEVER, 0):
-        _walk_at(monkeypatch, min_rows)
-        got = _with_mode(engine, lambda: model.predict(rows))
-        _assert_same_bytes(got, expected)
+    _walk_at(monkeypatch, WALKS[walk])
+    _assert_same_bytes(model.predict(rows), predict_exact(model, rows))
     assert model._arena_.max_depth == 0
 
 
-@pytest.mark.parametrize("name", [m[0] for m in MODELS])
-@pytest.mark.parametrize("engine", ENGINES)
-def test_empty_batch(monkeypatch, engine, name):
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("walk", WALKS)
+def test_empty_batch(monkeypatch, walk, name):
     model, predict = _fitted(name, "exact")
     rows = np.empty((0, 5))
-    expected = _with_mode("exact", lambda: predict(model, rows))
-    for min_rows in (NEVER, 0):
-        _walk_at(monkeypatch, min_rows)
-        got = _with_mode(engine, lambda: predict(model, rows))
-        _assert_same_bytes(got, expected)
+    _walk_at(monkeypatch, WALKS[walk])
+    _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
     table = model._arena_
-    columns = np.empty((5, 0), dtype=np.int64 if engine == "binned" else float)
-    assert table._partition(columns, engine).shape == (table.n_trees, 0)
-    assert table._descend(columns, engine).shape == (table.n_trees, 0)
+    descend = table._descend if walk == "lanes" else table._partition
+    assert descend(table.encode(rows)).shape == (table.n_trees, 0)
 
 
 _PROPERTY_MODELS = {}
@@ -269,23 +268,21 @@ def _property_model(name: str, algo: str):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from([m[0] for m in MODELS]),
+    name=st.sampled_from(NAMES),
     algo=st.sampled_from(["exact", "hist"]),
-    engine=st.sampled_from(ENGINES),
     n_rows=st.integers(0, 200),
     chunk_rows=st.integers(1, 96),
     min_rows=st.integers(0, 120),
     seed=st.integers(0, 2**16),
 )
 def test_any_chunking_and_threshold_is_exact(
-    name, algo, engine, n_rows, chunk_rows, min_rows, seed
+    name, algo, n_rows, chunk_rows, min_rows, seed
 ):
     model, predict = _property_model(name, algo)
     rows = _rows(seed, n_rows)
-    expected = _with_mode("exact", lambda: predict(model, rows))
     n_trees = len(model.trees_)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arena, "_MAX_LANES", chunk_rows * n_trees)
         _walk_at(patch, min_rows)
-        got = _with_mode(engine, lambda: predict(model, rows))
-    _assert_same_bytes(got, expected)
+        got = predict(model, rows)
+    _assert_same_bytes(got, predict_exact(model, rows))

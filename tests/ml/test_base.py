@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ml.base import BaseClassifier, check_X, check_X_y, clone
-from repro.ml.forest import RandomForestClassifier
+from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.naive_bayes import GaussianNaiveBayes
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 
 class TestParams:
@@ -79,3 +81,44 @@ class TestValidation:
             base.fit(np.ones((2, 2)), np.ones(2))
         with pytest.raises(NotImplementedError):
             base.predict_proba(np.ones((2, 2)))
+
+
+#: Every tree model (a fresh unfitted one per call) and its scoring method.
+TREE_MODELS = {
+    "DecisionTreeClassifier": (
+        lambda: DecisionTreeClassifier(max_depth=3), "predict_proba"),
+    "DecisionTreeRegressor": (
+        lambda: DecisionTreeRegressor(max_depth=3), "predict"),
+    "RandomForestClassifier": (
+        lambda: RandomForestClassifier(n_estimators=3, max_depth=3),
+        "predict_proba"),
+    "RandomForestRegressor": (
+        lambda: RandomForestRegressor(n_estimators=3, max_depth=3), "predict"),
+    "GradientBoostingClassifier": (
+        lambda: GradientBoostingClassifier(n_estimators=3, max_depth=2),
+        "predict_proba"),
+}
+
+
+class TestTreeModelsAreTabular:
+    """``check_X`` admits sequences for the neural models; tree models
+    score ``(rows, features)`` matrices only, and say so up front
+    instead of failing inside numpy."""
+
+    @pytest.mark.parametrize("name", TREE_MODELS)
+    def test_predict_rejects_3d_input(self, name, binary_blobs):
+        make, method = TREE_MODELS[name]
+        X, y = binary_blobs
+        model = make().fit(X[:, :4], y)
+        with pytest.raises(ValueError, match=r"2-D, got shape \(5, 3, 4\)"):
+            getattr(model, method)(np.ones((5, 3, 4)))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["DecisionTreeClassifier", "RandomForestClassifier",
+         "GradientBoostingClassifier"],
+    )
+    def test_fit_rejects_3d_input(self, name):
+        model = TREE_MODELS[name][0]()
+        with pytest.raises(ValueError, match=r"2-D, got shape \(4, 3, 2\)"):
+            model.fit(np.ones((4, 3, 2)), np.array([0, 1, 0, 1]))

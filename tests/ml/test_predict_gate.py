@@ -1,10 +1,10 @@
 """Tiny-size never-slower gate for the inference fast path.
 
 A miniature of ``make bench-predict``'s gate, run by ``make smoke``:
-on a small forest and a window-sized batch, the binned arena must not
-lose to the seed per-tree loop. The full benchmark pins the >=2x win;
-this gate only guards against the fast path regressing into a slow
-path (a broken code table falling back to per-row work, an arena
+on a small forest and a window-sized batch, the forest arena must not
+lose to the seed per-tree loops (``predict_exact``, the test oracle).
+The full benchmark pins the >=2x win; this gate only guards against
+the fast path regressing into a slow path (per-row work, an arena
 rebuild per call) without needing benchmark-scale fixtures. Slack is
 wide because these runs are sub-millisecond.
 """
@@ -17,20 +17,14 @@ import numpy as np
 import pytest
 
 from benchmarks._util import never_slower
-from repro.ml.arena import get_inference_mode, set_inference_mode
 from repro.ml.forest import RandomForestClassifier
+
+from tests.ml.arena_oracle import predict_exact
 
 pytestmark = pytest.mark.smoke
 
 #: Sub-millisecond predict calls need generous absolute slack.
 TINY_SLACK_SECONDS = 0.05
-
-
-@pytest.fixture(autouse=True)
-def restore_mode():
-    previous = get_inference_mode()
-    yield
-    set_inference_mode(previous)
 
 
 def _timed_best(fn, repeats=5):
@@ -42,7 +36,7 @@ def _timed_best(fn, repeats=5):
     return best
 
 
-def test_binned_arena_never_slower_than_exact():
+def test_arena_never_slower_than_exact():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(600, 8))
     y = (X[:, 0] + X[:, 2] > 0.5).astype(int)
@@ -50,19 +44,16 @@ def test_binned_arena_never_slower_than_exact():
         n_estimators=10, max_depth=8, seed=0, n_jobs=1
     ).fit(X, y)
     rows = rng.normal(scale=2.0, size=(512, 8))
-    set_inference_mode("binned")
     model.predict_proba(rows[:4])  # build the arena once; time steady state
 
-    set_inference_mode("exact")
-    exact = model.predict_proba(rows)
-    exact_seconds = _timed_best(lambda: model.predict_proba(rows))
-    set_inference_mode("binned")
+    exact = predict_exact(model, rows)
+    exact_seconds = _timed_best(lambda: predict_exact(model, rows))
     np.testing.assert_array_equal(model.predict_proba(rows), exact)
-    binned_seconds = _timed_best(lambda: model.predict_proba(rows))
+    arena_seconds = _timed_best(lambda: model.predict_proba(rows))
 
     assert never_slower(
-        exact_seconds, binned_seconds, slack_seconds=TINY_SLACK_SECONDS
+        exact_seconds, arena_seconds, slack_seconds=TINY_SLACK_SECONDS
     ), (
-        f"binned arena lost to the seed loop: exact {exact_seconds:.4f}s "
-        f"vs binned {binned_seconds:.4f}s on 512 rows"
+        f"arena lost to the seed loop: exact {exact_seconds:.4f}s "
+        f"vs arena {arena_seconds:.4f}s on 512 rows"
     )

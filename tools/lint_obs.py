@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Lint: no stray ``print()``; no silent excepts in serve/; no
-``http.server`` outside ``src/repro/obs/``; no raw file writes.
+``http.server`` outside ``src/repro/obs/``; no raw file writes; the
+metric catalog matches the emitters.
 
-Four AST checks over ``src/repro`` (``make lint-obs``):
+Five AST checks over ``src/repro`` (``make lint-obs``):
 
 * library output must flow through ``repro.obs.get_logger`` so it
   carries a level and respects ``--log-level`` / ``--log-json`` — any
@@ -28,7 +29,13 @@ Four AST checks over ``src/repro`` (``make lint-obs``):
   archives are serialized to an ``io.BytesIO`` first. The
   few writes that are non-atomic on purpose are named, with their
   reason, in :data:`RAW_WRITE_ALLOWLIST`; an entry that no longer
-  matches a write is reported too, so the list cannot go stale.
+  matches a write is reported too, so the list cannot go stale;
+* the metric catalog (``repro.obs.metrics.CATALOG``, mirrored in
+  ``docs/observability.md``) is what every run manifest declares, so
+  it must match the code both ways: every literal metric name passed
+  to ``inc_counter`` / ``observe_histogram`` / ``set_gauge`` or to a
+  registry's ``counter`` / ``histogram`` / ``gauge`` must be catalogued,
+  and every catalogued name must have such an emitter.
 
 AST-based on purpose: docstrings contain ``print()`` usage examples and
 prose about ``except`` clauses that a grep would false-positive on.
@@ -251,9 +258,71 @@ def find_raw_writes(tree: ast.AST) -> list[tuple[int, str, str]]:
     return offenders
 
 
+#: Module-level emitters of ``repro.obs`` (first argument: metric name).
+METRIC_FUNCTIONS = ("inc_counter", "observe_histogram", "set_gauge")
+#: Registry instrument methods (first argument: metric name).
+REGISTRY_METHODS = ("counter", "histogram", "gauge")
+
+
+def _is_registry(node: ast.expr) -> bool:
+    """``registry``, ``<anything>.registry`` or ``get_registry()``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name in ("registry", "get_registry")
+
+
+def find_metric_emits(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, metric name)`` for every emitter call with a literal name."""
+    emits: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        name = node.args[0]
+        if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id in METRIC_FUNCTIONS) or (
+            isinstance(func, ast.Attribute)
+            and func.attr in REGISTRY_METHODS
+            and _is_registry(func.value)
+        ):
+            emits.append((node.lineno, name.value))
+    return sorted(emits)
+
+
+def check_catalog(
+    emits: dict[str, list[str]], catalog: set[str]
+) -> list[str]:
+    """Findings for emitted names missing from the catalog (``emits``
+    maps a name to its ``file:line`` sites) and catalogued names that
+    nothing emits."""
+    findings = [
+        f"{site}: metric {name!r} is emitted but not in "
+        "repro.obs.metrics.CATALOG — catalogue it (and document it in "
+        "docs/observability.md)"
+        for name in sorted(set(emits) - catalog)
+        for site in emits[name]
+    ]
+    findings.extend(
+        f"src/repro/obs/metrics.py: CATALOG entry {name!r} has no emitter "
+        "in src/repro — drop the entry or emit it"
+        for name in sorted(catalog - set(emits))
+    )
+    return findings
+
+
+def _catalog_names() -> set[str]:
+    sys.path.insert(0, str(SRC.parent))
+    from repro.obs.metrics import CATALOG
+
+    return {entry[0] for entry in CATALOG}
+
+
 def main() -> int:
     offenders: list[str] = []
     unused = set(RAW_WRITE_ALLOWLIST)
+    emits: dict[str, list[str]] = {}
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC)
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -271,6 +340,9 @@ def main() -> int:
                 findings.append((lineno, message))
         for lineno, message in sorted(findings):
             offenders.append(f"src/repro/{relative}:{lineno}: {message}")
+        for lineno, name in find_metric_emits(tree):
+            emits.setdefault(name, []).append(f"src/repro/{relative}:{lineno}")
+    offenders.extend(check_catalog(emits, _catalog_names()))
     for relative, function in sorted(unused):
         offenders.append(
             f"src/repro/{relative}: {function} is in RAW_WRITE_ALLOWLIST "
@@ -285,7 +357,8 @@ def main() -> int:
         "no silent excepts in src/repro/serve or src/repro/scale; "
         "no http.server imports outside src/repro/obs; "
         "no raw file or numpy-archive writes in src/repro outside "
-        "RAW_WRITE_ALLOWLIST (atomic_write only)"
+        "RAW_WRITE_ALLOWLIST (atomic_write only); "
+        f"metric catalog matches its {len(emits)} emitted names"
     )
     return 0
 
