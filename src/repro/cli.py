@@ -903,12 +903,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
     from repro.robustness.checkpoint import has_checkpoint_files
     from repro.serve.daemon import SERVE_FILES, ServeConfig, ServeDaemon
     from repro.serve.ingest import GatePolicy
-    from repro.serve.replay import iter_stream
+    from repro.serve.replay import feed, iter_stream
 
     gate = GatePolicy(
         quarantine_drive_after=args.quarantine_drive_after or None
@@ -1013,28 +1011,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         health_fn=daemon.health_snapshot,
     )
     end_day = args.end_day
-    current_day = None
+    stream_end: list = []
+
+    def readings():
+        for event in iter_stream(args.input):
+            if event["kind"] == "end":
+                stream_end.append(event.get("day"))
+                return
+            yield event["serial"], event["day"], event["reading"]
+
     try:
         with trace_span("serve.consume"):
-            for event in iter_stream(args.input):
-                if event["kind"] == "end":
-                    if event.get("day") is not None:
-                        end_day = event["day"]
-                    break
-                day = event["day"]
-                if min_day is not None and day < min_day:
-                    continue
-                if current_day is not None and day != current_day:
-                    daemon.pump()
-                    if args.speed:
-                        time.sleep((day - current_day) / args.speed)
-                    if args.throttle_seconds and (
-                        args.throttle_from_day is None
-                        or day >= args.throttle_from_day
-                    ):
-                        time.sleep(args.throttle_seconds)
-                current_day = day
-                daemon.submit(event["serial"], day, event["reading"])
+            feed(
+                daemon,
+                readings(),
+                speed=args.speed,
+                min_day=min_day,
+                throttle_seconds=args.throttle_seconds,
+                throttle_from_day=args.throttle_from_day,
+            )
+            if stream_end and stream_end[0] is not None:
+                end_day = stream_end[0]
             summary = daemon.finish(end_day)
     finally:
         _stop_obs_endpoint(obs_server, obs_textfile)

@@ -9,14 +9,18 @@ daily readings into the same feature rows the batch pipeline would
 assemble — verified equivalent in the test suite.
 
 Ingest is batch-shaped: :func:`parse_readings` turns a run of readings
-into one :class:`ReadingBatch` (a float matrix with a presence mask),
-and :meth:`ClientPredictor.ingest` assembles the whole batch at once
-from slot-indexed per-drive arrays and a column plan compiled at
+into one :class:`ReadingBatch` (a float matrix with a presence mask,
+the firmware labels resolved once per distinct label), and
+:meth:`ClientPredictor.ingest` assembles the whole batch at once from
+slot-indexed per-drive arrays and a column plan compiled at
 construction; ``observe`` and ``alarm`` wrap a batch of one. The serve
-gate parses each drained run once and hands the validated batch
-straight here. A rejected reading (out-of-order day, unseen firmware,
-missing column in strict mode) leaves its drive's state untouched, so
-the caller can correct the reading and retry. With
+daemon parses each drained run once, with the scorer's source columns
+first, and the gate hands the validated batch straight here with its
+:class:`DrivePlan` (the rounds of distinct drives), so neither the
+column gather nor the round split is done twice. A rejected reading
+(out-of-order day, unseen firmware, missing column in strict mode)
+leaves its drive's state untouched, so the caller can correct the
+reading and retry. With
 ``on_missing="impute"`` a reading with absent or non-finite values is
 scored anyway — last-known value, else zero — and flagged degraded
 (see :mod:`repro.robustness.degraded` for dimension-level fallback).
@@ -25,6 +29,7 @@ scored anyway — last-known value, else zero — and flagged degraded
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -41,6 +46,59 @@ _EVENT_COLUMNS = frozenset((*W_COLUMNS, *B_COLUMNS))
 NO_DAY = np.iinfo(np.int64).min
 
 
+@dataclass(frozen=True)
+class DrivePlan:
+    """The order a batch's readings apply in: rounds of distinct drives.
+
+    ``drives`` are the planned readings' distinct serials (sorted) and
+    ``drive_of`` each reading's index into them (-1 for a reading left
+    out). Round ``k`` holds each drive's ``k``-th reading, so applying
+    the rounds in turn is applying the readings one at a time.
+    """
+
+    drives: np.ndarray
+    drive_of: np.ndarray
+    rounds: tuple
+
+    @classmethod
+    def build(cls, serials: np.ndarray, members: np.ndarray, days=None) -> "DrivePlan":
+        """Plan the readings ``members`` marks, each drive's in day
+        order (``days``) or, without days, in batch order."""
+        drive_of = np.full(len(serials), -1, dtype=np.intp)
+        positions = members.nonzero()[0]
+        m = positions.size
+        if m == 0:
+            return cls(np.empty(0, dtype=np.int64), drive_of, ())
+        planned = serials[positions]
+        index = positions[
+            np.argsort(planned, kind="stable")
+            if days is None
+            else np.lexsort((days[positions], planned))
+        ]
+        ordered = serials[index]
+        first = np.ones(m, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        drive_of[index] = first.cumsum() - 1
+        if starts.size == m:
+            rounds = (positions,)
+        else:
+            rank = np.arange(m) - np.repeat(starts, np.diff(starts, append=m))
+            rounds = tuple(
+                np.sort(index[rank == k]) for k in range(int(rank.max()) + 1)
+            )
+        return cls(ordered[starts], drive_of, rounds)
+
+    def take(self, index: np.ndarray) -> "DrivePlan":
+        """The plan of the readings at ``index`` (ascending positions)."""
+        position = np.full(len(self.drive_of), -1, dtype=np.intp)
+        position[index] = np.arange(len(index))
+        kept = (r[r >= 0] for r in (position[r] for r in self.rounds))
+        return DrivePlan(
+            self.drives, self.drive_of[index], tuple(r for r in kept if r.size)
+        )
+
+
 @dataclass
 class ReadingBatch:
     """A run of daily readings parsed into columns.
@@ -52,9 +110,14 @@ class ReadingBatch:
     ``None`` when there are none). A reading whose serial, day or body
     cannot be parsed is ``malformed``; ``anonymous`` marks the ones
     whose serial names no drive, and an unparseable day is
-    :data:`NO_DAY`. ``firmware`` holds each reading's label (``None``
-    when absent). ``readings`` are the source dicts, consulted only for
-    their key order when a reading is rejected.
+    :data:`NO_DAY`. Firmware is resolved once: ``labels`` are the
+    distinct labels the run carries and ``label_index`` each reading's
+    index into them (-1 when it carries none), so a consumer maps each
+    distinct label, not each reading. ``readings`` are the source
+    dicts, consulted only for their key order when a reading is
+    rejected. ``plan`` is the order the readings apply in, once a
+    consumer has worked it out (the gate hands its plan on with the
+    readings it admits).
     """
 
     serials: np.ndarray
@@ -62,11 +125,13 @@ class ReadingBatch:
     keys: tuple
     values: np.ndarray
     present: np.ndarray
-    firmware: list
+    labels: tuple
+    label_index: np.ndarray
     readings: list
     malformed: np.ndarray
     anonymous: np.ndarray
     non_numeric: np.ndarray | None = None
+    plan: DrivePlan | None = None
 
     def __len__(self) -> int:
         return len(self.serials)
@@ -76,6 +141,12 @@ class ReadingBatch:
         """Column index of each key."""
         return {key: j for j, key in enumerate(self.keys)}
 
+    @property
+    def firmware(self) -> list:
+        """Each reading's firmware label (``None`` when absent)."""
+        labels = (*self.labels, None)
+        return [labels[i] for i in self.label_index.tolist()]
+
     def take(self, index: np.ndarray, values=None, present=None) -> "ReadingBatch":
         """The readings at ``index``; ``values``/``present`` replace the
         matrix (already taken) when given."""
@@ -83,20 +154,33 @@ class ReadingBatch:
             serials=self.serials[index],
             days=self.days[index],
             keys=self.keys,
-            values=self.values[index] if values is None else values,
-            present=self.present[index] if present is None else present,
-            firmware=[self.firmware[i] for i in index],
+            values=self.values.take(index, axis=0) if values is None else values,
+            present=self.present.take(index, axis=0) if present is None else present,
+            labels=self.labels,
+            label_index=self.label_index[index],
             readings=[self.readings[i] for i in index],
             malformed=self.malformed[index],
             anonymous=self.anonymous[index],
             non_numeric=(
-                None if self.non_numeric is None else self.non_numeric[index]
+                None if self.non_numeric is None
+                else self.non_numeric.take(index, axis=0)
             ),
+            plan=None if self.plan is None else self.plan.take(index),
         )
 
-    def columns(self, names) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def columns(self, names: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(values, present, non_numeric)`` over ``names``; a name no
-        reading carries is an absent column."""
+        reading carries is an absent column. A batch parsed with
+        ``names`` first (``parse_readings(..., order=names)``) returns
+        slices of its own matrices."""
+        k = len(names)
+        if self.keys[:k] == names:
+            non_numeric = self.non_numeric
+            return (
+                self.values[:, :k],
+                self.present[:, :k],
+                None if non_numeric is None else non_numeric[:, :k],
+            )
         index = np.array(
             [self.position.get(name, -1) for name in names], dtype=np.intp
         )
@@ -143,40 +227,72 @@ def _getter(keys: tuple):
     return lambda reading: tuple(reading[key] for key in keys)
 
 
+@functools.lru_cache(maxsize=64)
+def _key_order(keys: tuple, order: tuple) -> tuple:
+    """``keys`` without ``firmware``: those named in ``order`` first, in
+    that order, then the rest in their own order."""
+    first = tuple(key for key in order if key in keys)
+    return first + tuple(k for k in keys if k != "firmware" and k not in first)
+
+
 def _float_matrix(rows: list, width: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Rows of raw values as floats, with the cells ``float()`` refuses
     marked (NaN in the matrix)."""
     n = len(rows)
     if n == 0 or width == 0:
         return np.empty((n, width)), None
-    non_numeric = np.zeros((n, width), dtype=bool)
     try:
-        values = np.array(rows, dtype=float)
+        # a cell that is itself a sequence raises here; float() refuses it
+        values = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=float, count=n * width
+        ).reshape(n, width)
     except (TypeError, ValueError, OverflowError):
         values = None
-    # A cell that is itself a sequence adds a dimension; float() refuses it.
-    if values is not None and values.shape == (n, width):
+    if values is not None:
         # numpy reads None as NaN where float() refuses it
-        for i, j in zip(*np.nonzero(np.isnan(values))):
+        rows_nan, columns_nan = np.isnan(values).nonzero()
+        non_numeric = np.zeros((n, width), dtype=bool)
+        for i, j in zip(rows_nan.tolist(), columns_nan.tolist()):
             non_numeric[i, j] = rows[i][j] is None
-    else:
-        values = np.empty((n, width))
-        for i, row in enumerate(rows):
-            for j, value in enumerate(row):
-                try:
-                    values[i, j] = float(value)
-                except (TypeError, ValueError, OverflowError):
-                    values[i, j] = math.nan
-                    non_numeric[i, j] = True
+        return values, non_numeric if non_numeric.any() else None
+    values = np.empty((n, width))
+    non_numeric = np.zeros((n, width), dtype=bool)
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            try:
+                values[i, j] = float(value)
+            except (TypeError, ValueError, OverflowError):
+                values[i, j] = math.nan
+                non_numeric[i, j] = True
     return values, non_numeric if non_numeric.any() else None
 
 
-def parse_readings(serials, days, readings) -> ReadingBatch:
+def _resolve_labels(firmware: list) -> tuple[tuple, np.ndarray]:
+    """The distinct firmware labels (first-seen order) and each
+    reading's index into them, -1 for ``None``. An unhashable label is
+    an entry of its own."""
+    labels: list = []
+    seen: dict = {None: -1}
+    index = []
+    for label in firmware:
+        try:
+            code = seen.setdefault(label, len(labels))
+        except TypeError:
+            code = len(labels)
+        if code == len(labels):
+            labels.append(label)
+        index.append(code)
+    return tuple(labels), np.array(index, dtype=np.intp)
+
+
+def parse_readings(serials, days, readings, order: tuple = ()) -> ReadingBatch:
     """Parse parallel sequences of serials, days and reading dicts once.
 
     When every reading is a dict with the same keys (one collector
     schema, the normal case) the values come out through one
-    ``itemgetter`` and one ``np.array``; otherwise row by row.
+    ``itemgetter`` and one ``np.fromiter``; otherwise row by row. The
+    keys named in ``order`` (a scorer's source columns) lead ``keys``,
+    so :meth:`ReadingBatch.columns` over them is a slice.
     """
     readings = list(readings)
     n = len(readings)
@@ -188,11 +304,11 @@ def parse_readings(serials, days, readings) -> ReadingBatch:
     first = readings[0] if n else {}
     rows = None
     if set(map(type, readings)) <= {dict} and set(map(len, readings)) <= {len(first)}:
-        keys = tuple(key for key in first if key != "firmware")
+        keys = _key_order(tuple(first), order)
         try:
             rows = list(map(_getter(keys), readings))
             firmware = (
-                [r["firmware"] for r in readings]
+                list(map(operator.itemgetter("firmware"), readings))
                 if "firmware" in first
                 else [None] * n
             )
@@ -209,9 +325,7 @@ def parse_readings(serials, days, readings) -> ReadingBatch:
                     reading = {}
             parsed.append(reading)
         readings = parsed
-        keys = tuple(
-            dict.fromkeys(k for r in readings for k in r if k != "firmware")
-        )
+        keys = _key_order(tuple(dict.fromkeys(k for r in readings for k in r)), order)
         nan = math.nan
         rows = [[r.get(key, nan) for key in keys] for r in readings]
         present = np.array(
@@ -221,41 +335,20 @@ def parse_readings(serials, days, readings) -> ReadingBatch:
     else:
         present = np.ones((n, len(keys)), dtype=bool)
     values, non_numeric = _float_matrix(rows, len(keys))
+    labels, label_index = _resolve_labels(firmware)
     return ReadingBatch(
         serials=serials,
         days=days,
         keys=keys,
         values=values,
         present=present,
-        firmware=firmware,
+        labels=labels,
+        label_index=label_index,
         readings=readings,
         malformed=malformed,
         anonymous=anonymous,
         non_numeric=non_numeric,
     )
-
-
-def drive_rounds(serials: np.ndarray, order: np.ndarray):
-    """Batch positions in rounds of distinct drives.
-
-    Round ``k`` holds each drive's ``k``-th reading by ``order`` (its
-    day, or its batch position), so applying the rounds in turn is
-    one-reading-at-a-time processing in that order.
-    """
-    n = serials.size
-    if n == 0:
-        return
-    index = np.lexsort((order, serials))
-    ordered = serials[index]
-    first = np.ones(n, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    if starts.size == n:
-        yield np.arange(n)
-        return
-    rank = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
-    for k in range(int(rank.max()) + 1):
-        yield np.sort(index[rank == k])
 
 
 @dataclass
@@ -370,19 +463,22 @@ class _DriveTable:
         self.free.append(slot)
 
     # -- assembly -------------------------------------------------------
-    def _codes(self, labels, errors: dict) -> np.ndarray:
-        """Firmware codes (NaN where absent); unseen labels are errors."""
+    def _codes(self, batch: ReadingBatch, errors: dict) -> np.ndarray:
+        """Firmware codes (NaN where absent); unseen labels are errors.
+        Each distinct label is looked up once."""
         if self.fw_codes is None:
-            return np.full(len(labels), np.nan)
+            return np.full(len(batch), np.nan)
         lookup = self.fw_codes.get
-        codes = np.full(len(labels), -1.0)
-        for i, label in enumerate(labels):
+        codes = []
+        for label in batch.labels:
             try:
-                codes[i] = math.nan if label is None else lookup(label, -1.0)
+                codes.append(lookup(label, -1.0))
             except TypeError:  # an unhashable label: unseen
-                pass
-        for i in np.flatnonzero(codes < 0):
-            errors.setdefault(int(i), ValueError(f"unseen label {labels[i]!r}"))
+                codes.append(-1.0)
+        codes = np.array([*codes, math.nan])[batch.label_index]  # -1: no label
+        for i in (codes < 0).nonzero()[0].tolist():
+            label = batch.labels[batch.label_index[i]]
+            errors.setdefault(i, ValueError(f"unseen label {label!r}"))
         return codes
 
     def ingest(self, batch: ReadingBatch, impute: bool):
@@ -396,79 +492,89 @@ class _DriveTable:
         serials, days = batch.serials, batch.days
         message = "the reading's serial, day or body does not parse"
         errors: dict[int, Exception] = {
-            int(i): ValueError(message) for i in np.flatnonzero(batch.malformed)
+            i: ValueError(message) for i in batch.malformed.nonzero()[0].tolist()
         }
         values, present, non_numeric = batch.columns(self.sources)
         if non_numeric is not None:
-            for i, j in zip(*np.nonzero(non_numeric)):
-                errors.setdefault(int(i), ValueError(
+            for i, j in np.argwhere(non_numeric).tolist():
+                errors.setdefault(i, ValueError(
                     f"reading has a non-numeric {self.sources[j]!r}"
                 ))
-        codes = self._codes(batch.firmware, errors)
+        codes = self._codes(batch, errors)
         finite = np.isfinite(values)
         n_raw = len(self.raw_columns)
-        raw_missing = ~finite[:, :n_raw]
+        # An absent event count adds nothing and is not a defect; a
+        # present but non-finite one is treated as absent and flagged.
+        missing = ~finite
+        missing[:, n_raw:] &= present[:, n_raw:]
+        raw_missing, bad_event = missing[:, :n_raw], missing[:, n_raw:]
         fw_missing = (
             np.isnan(codes) if self.fw_pos is not None else np.zeros(n, dtype=bool)
         )
-        # An absent event count adds nothing and is not a defect; a
-        # present but non-finite one is treated as absent and flagged.
-        bad_event = present[:, n_raw:] & ~finite[:, n_raw:]
-        degraded = raw_missing.any(axis=1) | fw_missing | bad_event.any(axis=1)
+        degraded = missing.any(axis=1) | fw_missing
         if not impute:
-            for i in np.flatnonzero(degraded):
-                errors.setdefault(int(i), self._strict_error(
-                    present[i, :n_raw], raw_missing[i], batch.firmware[i], bad_event[i]
+            for i in degraded.nonzero()[0].tolist():
+                errors.setdefault(i, self._strict_error(
+                    present[i, :n_raw], raw_missing[i], batch.label_index[i] < 0,
+                    bad_event[i],
                 ))
 
-        valid = np.flatnonzero(~batch.malformed)
-        tracked = serials[valid].tolist()
-        new = [s for s in dict.fromkeys(tracked) if s not in self.slots]
+        plan = batch.plan
+        if plan is None:
+            plan = DrivePlan.build(serials, ~batch.malformed, days)
+        # each distinct drive's slot, untracked drives claiming one
+        drives = plan.drives.tolist()
+        drive_slots = np.fromiter(
+            map(self.slots.get, drives, itertools.repeat(-1)), np.intp, len(drives)
+        )
+        new = [drives[d] for d in (drive_slots < 0).nonzero()[0].tolist()]
         for serial in new:
             self._slot(serial)
-        slots = np.zeros(n, dtype=np.intp)
-        slots[valid] = [self.slots[s] for s in tracked]
+        drive_slots[drive_slots < 0] = [self.slots[serial] for serial in new]
         rejected = np.zeros(n, dtype=bool)
         rejected[list(errors)] = True
         out = np.empty((n, self.depth * len(self.columns)))
         accepted = np.zeros(n, dtype=bool)
-        for idx in drive_rounds(serials[valid], days[valid]):
-            idx = valid[idx]
-            late = self.last_day[slots[idx]] >= days[idx]
-            for i in idx[late]:
-                errors[int(i)] = ValueError(
-                    f"out-of-order reading for drive {serials[i]}: "
-                    f"day {days[i]} after day {self.last_day[slots[i]]}"
-                )
-            rejected[idx[late]] = True
-            idx = idx[~rejected[idx]]
-            if idx.size:
+        for idx in plan.rounds:
+            slots = drive_slots[plan.drive_of[idx]]
+            late = self.last_day[slots] >= days[idx]
+            if late.any():
+                for i, slot in zip(idx[late].tolist(), slots[late].tolist()):
+                    errors[i] = ValueError(
+                        f"out-of-order reading for drive {serials[i]}: "
+                        f"day {days[i]} after day {self.last_day[slot]}"
+                    )
+            keep = ~(late | rejected[idx])
+            if keep.any():
+                idx, slots = idx[keep], slots[keep]
                 out[idx] = self._commit(
-                    slots[idx], days[idx], values[idx], finite[idx],
-                    codes[idx], degraded[idx],
+                    slots, days[idx], values.take(idx, axis=0),
+                    finite.take(idx, axis=0), codes[idx], degraded[idx],
                 )
                 accepted[idx] = True
         for serial in new:
             if self.last_day[self.slots[serial]] == NO_DAY:
                 self.release(serial)
 
-        missing = None
+        imputed = None
         if accepted.any():
-            last = int(np.flatnonzero(accepted)[-1])
-            missing = (
-                *(c for c, m in zip(self.raw_columns, raw_missing[last]) if m),
+            last = int(accepted.nonzero()[0][-1])
+            imputed = (
+                *(self.raw_columns[j] for j in raw_missing[last].nonzero()[0]),
                 *(("firmware",) if fw_missing[last] else ()),
-                *(c for c, m in zip(self.event_columns, bad_event[last]) if m),
+                *(self.event_columns[j] for j in bad_event[last].nonzero()[0]),
             )
-        return out[accepted], errors, missing
+        return out.compress(accepted, axis=0), errors, imputed
 
-    def _strict_error(self, raw_present, raw_missing, firmware, bad_event) -> Exception:
+    def _strict_error(
+        self, raw_present, raw_missing, no_firmware, bad_event
+    ) -> Exception:
         for column, present, missing in zip(self.raw_columns, raw_present, raw_missing):
             if missing:
                 if not present:
                     return KeyError(f"reading is missing {column!r}")
                 return ValueError(f"reading has a non-finite {column!r}")
-        if self.fw_pos is not None and firmware is None:
+        if self.fw_pos is not None and no_firmware:
             return KeyError("reading is missing 'firmware'")
         column = self.event_columns[int(np.flatnonzero(bad_event)[0])]
         return ValueError(f"reading has a non-finite {column!r}")
@@ -476,29 +582,34 @@ class _DriveTable:
     def _commit(self, slots, days, values, finite, codes, degraded) -> np.ndarray:
         """Apply one round (distinct slots); return its rows."""
         n_raw = len(self.raw_columns)
-        raw_ok = finite[:, :n_raw]
-        known = np.where(raw_ok, values[:, :n_raw], self.last_raw[slots])
-        self.last_raw[slots] = known
-        self.cumulative[slots] += np.where(
-            finite[:, n_raw:], values[:, n_raw:], 0.0
+        known = np.where(
+            finite[:, :n_raw], values[:, :n_raw], self.last_raw.take(slots, axis=0)
         )
+        self.last_raw[slots] = known
+        cumulative = self.cumulative.take(slots, axis=0)
+        np.add(cumulative, values[:, n_raw:], out=cumulative, where=finite[:, n_raw:])
+        self.cumulative[slots] = cumulative
         firmware = np.where(np.isnan(codes), self.firmware[slots], codes)
         self.firmware[slots] = firmware
 
         vectors = np.zeros((len(slots), len(self.columns)))
-        vectors[:, self.raw_pos] = np.where(np.isnan(known), 0.0, known)
-        vectors[:, self.cum_pos] = self.cumulative[slots]
+        vectors[:, self.raw_pos] = known
+        vectors[:, self.cum_pos] = cumulative
         if self.fw_pos is not None:
-            vectors[:, self.fw_pos] = np.where(np.isnan(firmware), 0.0, firmware)
+            vectors[:, self.fw_pos] = firmware
+        np.copyto(vectors, 0.0, where=np.isnan(vectors))  # never seen: zero
 
-        ring = self.ring[slots]
         if self.depth > 1:
+            ring = self.ring[slots]
             fresh = self.n_history[slots] == 0
             ring[:, :-1] = ring[:, 1:]
             ring[fresh] = vectors[fresh, None, :]
-        ring[:, -1] = vectors
+            ring[:, -1] = vectors
+            self.n_history[slots] = np.minimum(self.n_history[slots] + 1, self.depth)
+        else:  # a one-vector ring is full after one reading
+            ring = vectors[:, None, :]
+            self.n_history[slots] = 1
         self.ring[slots] = ring
-        self.n_history[slots] = np.minimum(self.n_history[slots] + 1, self.depth)
         self.last_day[slots] = days
         self.n_degraded[slots] += degraded
         return ring.reshape(len(slots), -1)
@@ -641,6 +752,11 @@ class ClientPredictor:
         codes = self._table.fw_codes
         return frozenset(codes) if codes is not None else None
 
+    def parse(self, serials, days, readings) -> ReadingBatch:
+        """:func:`parse_readings` with the columns :meth:`ingest` reads
+        first, so ingest takes them as a slice."""
+        return parse_readings(serials, days, readings, order=self._table.sources)
+
     def cover(self, other: "ClientPredictor") -> np.ndarray:
         """Widen the drive state so ingest rows also carry ``other``'s inputs.
 
@@ -687,7 +803,7 @@ class ClientPredictor:
         """Commit a batch of daily readings; return their input rows.
 
         ``serials``, ``days`` and ``readings`` are parallel sequences,
-        parsed by :func:`parse_readings`; ``serials`` may instead be an
+        parsed by :meth:`parse`; ``serials`` may instead be an
         already parsed :class:`ReadingBatch` (the serve gate's output),
         with ``days`` and ``readings`` omitted. Returns
         ``(rows, rejections)``: one row per accepted reading, in batch
@@ -711,7 +827,7 @@ class ClientPredictor:
         batch = (
             serials
             if isinstance(serials, ReadingBatch)
-            else parse_readings(serials, days, readings)
+            else self.parse(serials, days, readings)
         )
         rows, rejections, missing = self._table.ingest(
             batch, impute=self.on_missing == "impute"

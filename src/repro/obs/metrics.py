@@ -79,15 +79,30 @@ class Counter:
 
 
 class Gauge:
-    """Last-write-wins instantaneous value."""
+    """Last-write-wins instantaneous value, or a live read.
 
-    __slots__ = ("value",)
+    :meth:`set_function` makes the gauge read ``function()`` whenever it
+    is exported (prometheus_client's ``Gauge.set_function``); writes,
+    merged snapshots included, no longer show.
+    """
+
+    __slots__ = ("_value", "_function")
 
     def __init__(self) -> None:
-        self.value = 0.0
+        self._value = 0.0
+        self._function = None
 
     def set(self, value: float) -> None:
-        self.value = float(value)
+        self._value = float(value)
+
+    def set_function(self, function) -> None:
+        self._function = function
+
+    @property
+    def value(self) -> float:
+        if self._function is None:
+            return self._value
+        return float(self._function())
 
 
 class Histogram:

@@ -2,16 +2,23 @@
 
 Data path::
 
-    submit() ──▶ BoundedReadingQueue          (backpressure, shedding)
-    pump()   ──▶ parse_readings               (the drained readings, once,
-                                               into one ReadingBatch)
+    submit() / submit_many()
+             ──▶ BoundedReadingQueue          (append only; backpressure,
+                                               shedding)
+    pump()   ──▶ IncrementalScorer.parse      (the drained readings, once,
+                                               into one ReadingBatch in the
+                                               scorer's column order, each
+                                               firmware label resolved once)
              ──▶ per run of readings between window boundaries:
                    ReadingGate.admit          (quarantine / repair, the
-                                               run as one matrix)
+                                               run as one matrix; plans
+                                               the rounds of distinct
+                                               drives)
                    DimensionFreshness.observe (staleness watch)
-                   IncrementalScorer.stage    (the admitted matrix into
-                                               the shared per-drive
-                                               feature state)
+                   IncrementalScorer.stage    (the admitted matrix and
+                                               the gate's plan into the
+                                               shared per-drive feature
+                                               state)
              ──▶ window flush at each boundary:
                    score the staged row matrix in batches under
                    RetryPolicy, route full ▸ reduced (a column gather of
@@ -44,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.client import NO_DAY, ClientPredictor, ReadingBatch, parse_readings
+from repro.core.client import ClientPredictor, ReadingBatch
 from repro.core.pipeline import MFPA, MFPAConfig
 from repro.obs import (
     get_logger,
@@ -153,8 +160,9 @@ class ServeConfig:
 
 class ServeDaemon:
     """Long-running fleet scorer. Single-threaded by design: producers
-    call :meth:`submit`, the supervisor calls :meth:`pump` per tick and
-    :meth:`finish` at end of stream."""
+    call :meth:`submit` (or :meth:`submit_many` with a batch), the
+    supervisor calls :meth:`pump` per tick and :meth:`finish` at end of
+    stream."""
 
     def __init__(
         self,
@@ -333,9 +341,9 @@ class ServeDaemon:
         )
         # Metrics continuity: fold the checkpointed registry snapshot in
         # *before* the explicit gauge writes below, so counters resume
-        # monotone from the crash point while current-truth gauges win.
+        # monotone from the crash point while current-truth gauges win
+        # (serve_queue_depth reads the live queue whatever was merged).
         get_registry().merge(state.get("metrics") or [])
-        set_gauge("serve_queue_depth", 0)
         # Pickled predictor states are as-of-pickling; the JSON state is
         # the committed truth — restore from it.
         daemon.scorer.restore(state["scorer"])
@@ -369,6 +377,11 @@ class ServeDaemon:
         """Enqueue one reading (cheap; validation happens at pump time)."""
         self.queue.offer(serial, day, reading)
 
+    def submit_many(self, serials, days, readings) -> None:
+        """Enqueue parallel sequences of readings (a collector's day);
+        the queue sheds exactly as that many :meth:`submit` calls would."""
+        self.queue.offer_many(serials, days, readings)
+
     def pump(self) -> None:
         """One supervised tick: drain, stage, flush due windows."""
         started = self._clock()
@@ -400,28 +413,27 @@ class ServeDaemon:
         """Parse the drained readings once; gate and stage each run
         between window boundaries as one batch."""
         started = time.perf_counter()
-        batch = parse_readings(*zip(*items))
+        batch = self.scorer.parse(*zip(*items))
         # Boundary first: a reading belonging to a later window must not
         # be admitted before this window's flush commits (the watermark
         # replay contract depends on it). ``reach`` is how many windows
-        # past the open one the stream has got by each reading.
-        dated = batch.days != NO_DAY
-        ahead = np.zeros(len(batch), dtype=np.int64)
-        window = self.config.window_days
-        ahead[dated] = (batch.days[dated] - self.window_start) // window
-        reach = np.maximum.accumulate(np.maximum(ahead, 0))
-        runs = np.split(np.arange(len(batch)), np.flatnonzero(np.diff(reach)) + 1)
+        # past the open one the stream has got by each reading; an
+        # unparseable day (NO_DAY) reaches none.
+        ahead = np.maximum(batch.days, self.window_start) - self.window_start
+        reach = np.maximum.accumulate(ahead // self.config.window_days)
+        bounds = [0, *(np.diff(reach).nonzero()[0] + 1).tolist(), len(batch)]
         gate_seconds = time.perf_counter() - started
         assemble_seconds = 0.0
         flushed = 0
-        for run in runs:
-            while flushed < reach[run[0]]:
+        for first, end in zip(bounds, bounds[1:]):
+            while flushed < reach[first]:
                 self._flush_window()
                 flushed += 1
             started = time.perf_counter()
-            admitted = self.gate.admit(
-                batch if len(run) == len(batch) else batch.take(run)
+            run = batch if end - first == len(batch) else batch.take(
+                np.arange(first, end)
             )
+            admitted = self.gate.admit(run)
             if admitted is not None:
                 self.freshness.observe(admitted)
             gate_seconds += time.perf_counter() - started

@@ -24,12 +24,14 @@ nothing is dropped silently.
 from __future__ import annotations
 
 import collections
+import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.client import NO_DAY, ReadingBatch, drive_rounds
-from repro.obs import get_logger, inc_counter, set_gauge
+from repro.core.client import NO_DAY, DrivePlan, ReadingBatch
+from repro.obs import get_logger, get_registry, inc_counter
 from repro.robustness.faults import Reading
 from repro.telemetry.dataset import B_COLUMNS, W_COLUMNS
 from repro.telemetry.validation import _MONOTONE_COLUMNS
@@ -49,7 +51,8 @@ _RULES = (
 (
     _MALFORMED, _BANNED, _ALARMED, _STALE, _FIRMWARE,
     _NON_NUMERIC, _NONFINITE, _NEGATIVE, _RESET,
-) = range(1, len(_RULES))
+    _PASS,  # no rule failed: above every rule, so the least code is the first failure
+) = range(1, len(_RULES) + 1)
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,9 @@ class ReadingGate:
         self._is_alarmed = is_alarmed or (lambda serial: False)
         self._firmware_vocabulary = firmware_vocabulary
         self._slots: dict[int, int] = {}
-        self._last_day = np.full(0, NO_DAY, dtype=np.int64)
-        self._running_max = np.full((0, len(_MONOTONE)), np.nan)
+        # one row past the slots: see _claim
+        self._last_day = np.full(1, NO_DAY, dtype=np.int64)
+        self._running_max = np.full((1, len(_MONOTONE)), np.nan)
         self.quarantine_counts: dict[int, int] = {}
         self.banned: set[int] = set()
 
@@ -114,14 +118,17 @@ class ReadingGate:
         slot = self._slots.get(int(serial))
         return None if slot is None else int(self._last_day[slot])
 
-    def _count(self, serial: int) -> None:
-        """One more quarantined reading of ``serial``; ban at the limit."""
+    def _count(self, serial: int) -> bool:
+        """One more quarantined reading of ``serial``; ban at the limit.
+        True when this reading bans the drive."""
         count = self.quarantine_counts.get(serial, 0) + 1
         self.quarantine_counts[serial] = count
         limit = self.policy.quarantine_drive_after
         if limit is not None and count >= limit and serial not in self.banned:
             self.banned.add(serial)
             _LOG.warning("drive banned", serial=serial, quarantined=count)
+            return True
+        return False
 
     def note_quarantine(self, serial: int, rule: str) -> None:
         """Record a post-gate rejection (e.g. feature-assembly failure)."""
@@ -137,125 +144,132 @@ class ReadingGate:
         batch order: the readings of one drive are applied in rounds
         (each drive's ``k``-th reading in round ``k``), so a ban reached
         mid-batch, a stale day and a counter reset all see the readings
-        before them. ``rejections``, when given, receives ``{batch
-        position: rule}`` for every quarantined or skipped (``"alarmed"``)
-        reading. Counters are incremented once per rule per batch.
+        before them. The checks that need no drive state run once over
+        the batch, and the per-drive tests (alarmed, banned, tracking
+        slot) once per distinct drive. The admitted batch carries the
+        round plan on to the scorer. ``rejections``, when given, receives
+        ``{batch position: rule}`` for every quarantined or skipped
+        (``"alarmed"``) reading. Counters are incremented once per rule
+        per batch.
         """
         n = len(batch)
-        position = batch.position
-        reported = [m for m, c in enumerate(_MONOTONE) if c in position]
-        maxima = np.array(reported, dtype=np.intp)
-        columns = np.array([position[_MONOTONE[m]] for m in reported], dtype=np.intp)
-        values, present, value_code, repairs = self._screen(batch)
-        unknown = self._unknown_firmware(batch.firmware)
-        serials = batch.serials.tolist()
-        alarmed = np.array(
-            [not bad and self._is_alarmed(serial)
-             for serial, bad in zip(serials, batch.malformed.tolist())],
-            dtype=bool,
-        ).reshape(n)
+        plan = DrivePlan.build(batch.serials, ~batch.anonymous)
+        events, maxima, columns = _key_plan(batch.keys)
+        values, present, code, repairs = self._screen(batch, events)
+        drives = plan.drives.tolist()
+        # per distinct drive, plus a last entry for the unplanned (-1)
+        alarmed = np.fromiter(
+            itertools.chain(map(self._is_alarmed, drives), (False,)),
+            bool, len(drives) + 1,
+        )
+        banned = np.fromiter(map(self.banned.__contains__, drives), bool, len(drives))
+        # per distinct label, plus a last entry for no label (-1)
+        known = np.array([*map(self._known_firmware, batch.labels), True])
+        # the checks in reverse order, so the first failing one wins
+        code[~known[batch.label_index]] = _FIRMWARE
+        code[alarmed[plan.drive_of]] = _ALARMED
+        code[batch.malformed] = _MALFORMED
+        drive_slots = np.fromiter(
+            map(self._slots.get, drives, itertools.repeat(-1)), np.intp, len(drives)
+        )
+        # The counters as one block over every counter the gate tracks;
+        # one the batch does not carry is absent (NaN: never a reset).
+        current = np.full((n, len(_MONOTONE)), np.nan)
+        current[:, maxima] = values.take(columns, axis=1)
+        reported = np.zeros((n, len(_MONOTONE)), dtype=bool)
+        reported[:, maxima] = present.take(columns, axis=1)
         drop_resets = self.policy.counter_resets == "drop"
-
-        code = np.zeros(n, dtype=np.intp)
-        code[batch.anonymous] = _MALFORMED
-        repairs[:, batch.anonymous] = 0
         reset_repairs = 0
-        attributed = np.flatnonzero(~batch.anonymous)
-        for idx in drive_rounds(batch.serials[attributed], attributed):
-            idx = attributed[idx]
-            drives = [serials[i] for i in idx]
-            slots = np.array([self._slots.get(s, -1) for s in drives], dtype=np.intp)
-            known = slots >= 0
-            last = np.full(idx.size, NO_DAY, dtype=np.int64)
-            last[known] = self._last_day[slots[known]]
-            ceiling = np.full((idx.size, maxima.size), np.nan)
-            ceiling[known] = self._running_max[slots[known, None], maxima]
-            current = values[idx[:, None], columns]
-            reset = current < ceiling  # NaN (absent or unseen) never resets
-            checks = (
-                (batch.malformed[idx], _MALFORMED),
-                (np.array([s in self.banned for s in drives], dtype=bool), _BANNED),
-                (alarmed[idx], _ALARMED),
-                (batch.days[idx] <= last, _STALE),
-                (unknown[idx], _FIRMWARE),
-                (value_code[idx] > 0, value_code[idx]),
-                (reset.any(axis=1) & drop_resets, _RESET),
-            )
-            outcome = np.zeros(idx.size, dtype=np.intp)
-            for failed, rule in reversed(checks):  # the first failed check wins
-                if failed.any():
-                    outcome = np.where(failed, rule, outcome)
-            code[idx] = outcome
-            # value repairs count once a reading reaches the value checks
-            repairs[:, idx[(outcome > 0) & (outcome < _NON_NUMERIC)]] = 0
-            ok = outcome == 0
-            if ok.any():
-                rows = idx[ok]
-                repaired = np.where(reset[ok], ceiling[ok], current[ok])
-                reset_repairs += int(reset[ok].sum())
-                values[rows[:, None], columns] = repaired
-                new = ok & ~known
-                if new.any():
-                    slots[new] = self._claim([drives[i] for i in np.flatnonzero(new)])
-                commit = slots[ok, None]
-                self._last_day[commit[:, 0]] = batch.days[rows]
-                self._running_max[commit, maxima] = np.where(
-                    present[rows[:, None], columns], repaired,
-                    self._running_max[commit, maxima],
+        for idx in plan.rounds:
+            drive = plan.drive_of[idx]
+            slots = drive_slots[drive]
+            outcome = code[idx]
+            stale = batch.days[idx] <= self._last_day[slots]
+            np.minimum(outcome, np.where(stale, _STALE, _PASS), out=outcome)
+            if self.banned:
+                np.minimum(
+                    outcome, np.where(banned[drive], _BANNED, _PASS), out=outcome
                 )
-            for i in idx[(outcome > 0) & (outcome != _ALARMED)]:
-                self._count(serials[i])
+            ceiling = self._running_max.take(slots, axis=0)
+            reset = current.take(idx, axis=0) < ceiling
+            if drop_resets:
+                np.minimum(
+                    outcome, np.where(reset.any(axis=1), _RESET, _PASS), out=outcome
+                )
+            code[idx] = outcome
+            ok = outcome == _PASS
+            n_ok = np.count_nonzero(ok)
+            if n_ok:
+                rows, slots = idx[ok], slots[ok]
+                ceiling = ceiling.compress(ok, axis=0)
+                reset = reset.compress(ok, axis=0)
+                repaired = np.where(reset, ceiling, current.take(rows, axis=0))
+                reset_repairs += np.count_nonzero(reset)
+                current[rows] = repaired
+                new = slots < 0
+                if new.any():
+                    fresh = drive[ok][new]
+                    slots[new] = drive_slots[fresh] = self._claim(
+                        plan.drives[fresh].tolist()
+                    )
+                self._last_day[slots] = batch.days[rows]
+                self._running_max[slots] = np.where(
+                    reported.take(rows, axis=0), repaired, ceiling
+                )
+            if n_ok < idx.size:
+                counted = (outcome < _PASS) & (outcome != _ALARMED)
+                for d in drive[counted].tolist():
+                    banned[d] |= self._count(drives[d])
+        values[:, columns] = current.take(maxima, axis=1)
 
-        repairs_by_rule = {
-            "nonfinite": int(repairs[0].sum()),
-            "negative_events": int(repairs[1].sum()),
-            "counter_reset": reset_repairs,
+        rejected = code < _PASS
+        # value repairs count once a reading reaches the value checks
+        nonfinite, negative = repairs[:, code >= _NON_NUMERIC].sum(axis=1).tolist()
+        rules = {
+            i: _RULES[c]
+            for i, c in zip(rejected.nonzero()[0].tolist(), code[rejected].tolist())
         }
-        rules = {int(i): _RULES[code[i]] for i in np.flatnonzero(code)}
-        _publish(rules, repairs_by_rule, admitted=n - len(rules))
+        _publish(
+            rules,
+            {"nonfinite": nonfinite, "negative_events": negative,
+             "counter_reset": reset_repairs},
+            admitted=n - len(rules),
+        )
         if rejections is not None:
             rejections.update(rules)
         if len(rules) == n:
             return None
-        if not rules:
-            return replace(batch, values=values, present=present)
-        admitted = np.flatnonzero(code == 0)
-        return batch.take(admitted, values[admitted], present[admitted])
+        batch = replace(batch, values=values, present=present, plan=plan)
+        return batch.take((~rejected).nonzero()[0]) if rules else batch
 
-    def _screen(self, batch: ReadingBatch):
+    def _screen(self, batch: ReadingBatch, events: np.ndarray):
         """The state-free value checks of every reading.
 
         Returns the repaired ``(values, present)`` (a non-finite value
         stripped, a negative event count clamped to zero), each
-        reading's first failing value rule in its own key order (0 when
-        none), and the ``(nonfinite, negative_events)`` repairs each
-        reading counts before that failure.
+        reading's first failing value rule in its own key order
+        (``_PASS`` when none), and the ``(nonfinite, negative_events)``
+        repairs each reading counts before that failure.
         """
-        raw, present = batch.values, batch.present
-        non_numeric = batch.non_numeric
-        if non_numeric is None:
-            non_numeric = np.zeros(raw.shape, dtype=bool)
+        raw, present, non_numeric = batch.values, batch.present, batch.non_numeric
         finite = np.isfinite(raw)
-        nonfinite = present & ~finite & ~non_numeric
-        events = np.array([key in _EVENT_COLUMNS for key in batch.keys], dtype=bool)
-        negative = finite & events & (raw < 0)
-        failing = non_numeric.copy()
-        if self.policy.nonfinite == "drop":
-            failing |= nonfinite
-            nonfinite_repairs = np.zeros_like(nonfinite)
-        else:
-            nonfinite_repairs = nonfinite
-        if self.policy.negative_events == "drop":
-            failing |= negative
-            negative_repairs = np.zeros_like(negative)
-        else:
-            negative_repairs = negative
-        repairs = np.stack(
-            [nonfinite_repairs.sum(axis=1), negative_repairs.sum(axis=1)]
-        )
-        value_code = np.zeros(len(batch), dtype=np.intp)
-        failed = np.flatnonzero(failing.any(axis=1))
-        position = batch.position if failed.size else {}
+        nonfinite = present & ~finite
+        if non_numeric is not None:
+            nonfinite &= ~non_numeric
+        negative = (raw < 0) & finite
+        negative &= events
+        repairs = np.zeros((2, len(batch)), dtype=np.int64)
+        dropped = [] if non_numeric is None else [non_numeric]
+        policies = (self.policy.nonfinite, self.policy.negative_events)
+        for k, (cells, policy) in enumerate(zip((nonfinite, negative), policies)):
+            if policy == "drop":
+                dropped.append(cells)
+            elif cells.any():
+                repairs[k] = np.count_nonzero(cells, axis=1)
+        code = np.full(len(batch), _PASS, dtype=np.intp)
+        failing = functools.reduce(np.logical_or, dropped) if dropped else None
+        failed = [] if failing is None else failing.any(axis=1).nonzero()[0].tolist()
+        position = batch.position if failed else {}
         for i in failed:
             repairs[:, i] = 0
             for key in batch.readings[i]:
@@ -263,22 +277,20 @@ class ReadingGate:
                 if j is None:
                     continue  # firmware
                 if failing[i, j]:
-                    value_code[i] = (
-                        _NON_NUMERIC if non_numeric[i, j]
+                    code[i] = (
+                        _NON_NUMERIC if non_numeric is not None and non_numeric[i, j]
                         else _NONFINITE if nonfinite[i, j]
                         else _NEGATIVE
                     )
                     break
-                repairs[:, i] += (nonfinite_repairs[i, j], negative_repairs[i, j])
+                if self.policy.nonfinite == "repair":
+                    repairs[0, i] += nonfinite[i, j]
+                if self.policy.negative_events == "repair":
+                    repairs[1, i] += negative[i, j]
         values = raw.copy()
         values[negative] = 0.0
         values[nonfinite] = np.nan
-        return values, present & ~nonfinite, value_code, repairs
-
-    def _unknown_firmware(self, labels: list) -> np.ndarray:
-        return np.array(
-            [not self._known_firmware(label) for label in labels], dtype=bool
-        )
+        return values, present ^ nonfinite, code, repairs  # nonfinite is within present
 
     def _known_firmware(self, label) -> bool:
         if label is None or self._firmware_vocabulary is None:
@@ -289,16 +301,21 @@ class ReadingGate:
             return False
 
     def _claim(self, serials: list) -> np.ndarray:
-        """Allocate a slot to each of ``serials`` (new drives)."""
+        """Allocate a slot to each of ``serials`` (new drives).
+
+        The state arrays keep one row past the slots, never claimed: an
+        untracked drive (slot -1) reads it as a day before every day and
+        no counter maxima.
+        """
         first = len(self._slots)
         self._slots.update(zip(serials, range(first, first + len(serials))))
-        capacity = len(self._last_day)
+        capacity = len(self._last_day) - 1
         if len(self._slots) > capacity:
             grown = max(64, 2 * capacity, len(self._slots))
-            last_day = np.full(grown, NO_DAY, dtype=np.int64)
-            last_day[:capacity] = self._last_day
-            running_max = np.full((grown, len(_MONOTONE)), np.nan)
-            running_max[:capacity] = self._running_max
+            last_day = np.full(grown + 1, NO_DAY, dtype=np.int64)
+            last_day[:capacity] = self._last_day[:capacity]
+            running_max = np.full((grown + 1, len(_MONOTONE)), np.nan)
+            running_max[:capacity] = self._running_max[:capacity]
             self._last_day, self._running_max = last_day, running_max
         return np.arange(first, len(self._slots), dtype=np.intp)
 
@@ -330,8 +347,8 @@ class ReadingGate:
         last_day = {int(k): int(v) for k, v in snapshot["last_day"].items()}
         running_max = {int(k): v for k, v in snapshot["running_max"].items()}
         self._slots = {}
-        self._last_day = np.full(0, NO_DAY, dtype=np.int64)
-        self._running_max = np.full((0, len(_MONOTONE)), np.nan)
+        self._last_day = np.full(1, NO_DAY, dtype=np.int64)
+        self._running_max = np.full((1, len(_MONOTONE)), np.nan)
         drives = list(dict.fromkeys([*last_day, *running_max]))
         column = {name: m for m, name in enumerate(_MONOTONE)}
         for serial, slot in zip(drives, self._claim(drives).tolist()):
@@ -343,6 +360,23 @@ class ReadingGate:
             int(k): int(v) for k, v in snapshot["quarantine_counts"].items()
         }
         self.banned = set(int(s) for s in snapshot["banned"])
+
+
+@functools.lru_cache(maxsize=64)
+def _key_plan(keys: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the gate needs of a column layout: the event-count columns
+    (a mask over ``keys``), and for the monotone counters ``keys``
+    carries, their index among the gate's maxima and their column."""
+    position = {key: j for j, key in enumerate(keys)}
+    reported = [m for m, name in enumerate(_MONOTONE) if name in position]
+    plan = (
+        np.array([key in _EVENT_COLUMNS for key in keys], dtype=bool),
+        np.array(reported, dtype=np.intp),
+        np.array([position[_MONOTONE[m]] for m in reported], dtype=np.intp),
+    )
+    for array in plan:
+        array.flags.writeable = False  # shared by every batch of this layout
+    return plan
 
 
 def _publish(rules: dict, repaired: dict, admitted: int) -> None:
@@ -365,8 +399,11 @@ class BoundedReadingQueue:
 
     The victim is the oldest entry whose drive has not alarmed
     (``is_alarmed`` is the same ledger test the gate uses); if every
-    queued drive has alarmed the plain oldest goes. Depth is exported
-    as the ``serve_queue_depth`` gauge on every mutation.
+    queued drive has alarmed the plain oldest goes. :meth:`offer_many`
+    sheds exactly as that many :meth:`offer` calls would. An offer only
+    appends: the ``serve_queue_depth`` gauge reads ``len(queue)`` when
+    the registry is exported (dumped or scraped), so every scrape sees
+    the true depth.
     """
 
     def __init__(self, capacity: int = 4096, is_alarmed=None):
@@ -375,24 +412,49 @@ class BoundedReadingQueue:
         self.capacity = capacity
         self._is_alarmed = is_alarmed or (lambda serial: False)
         self._items: list[Reading] = []
+        # the newest queue is the one the gauge reads
+        get_registry().gauge("serve_queue_depth").set_function(self.__len__)
 
     def __len__(self) -> int:
         return len(self._items)
 
     def offer(self, serial: int, day: int, reading: dict) -> None:
-        if len(self._items) >= self.capacity:
-            victim = 0
-            for i, (queued_serial, _day, _reading) in enumerate(self._items):
-                if not self._is_alarmed(queued_serial):
-                    victim = i
-                    break
-            shed = self._items.pop(victim)
-            inc_counter("serve_readings_shed_total")
-            _LOG.warning("reading shed", serial=shed[0], day=shed[1])
         self._items.append((serial, day, reading))
-        set_gauge("serve_queue_depth", len(self._items))
+        if len(self._items) > self.capacity:
+            self._shed()
+
+    def offer_many(self, serials, days, readings) -> None:
+        """Offer parallel sequences of readings, in order."""
+        self._items.extend(zip(serials, days, readings))
+        if len(self._items) > self.capacity:
+            self._shed()
+
+    def _shed(self) -> None:
+        """Shed the entries past capacity as one offer at a time would.
+
+        The ``j``-th shed happens as entry ``capacity + j`` arrives, so
+        its victim is the oldest non-alarmed entry before that one, or,
+        when every entry left before it has alarmed, the oldest of them.
+        """
+        items = self._items
+        victims: list[int] = []
+        alarmed: collections.deque[int] = collections.deque()
+        scan = 0
+        for arrival in range(self.capacity, len(items)):
+            while scan < arrival and self._is_alarmed(items[scan][0]):
+                alarmed.append(scan)
+                scan += 1
+            if scan < arrival:
+                victims.append(scan)
+                scan += 1
+            else:
+                victims.append(alarmed.popleft())
+        shed = set(victims)
+        self._items = [item for i, item in enumerate(items) if i not in shed]
+        inc_counter("serve_readings_shed_total", len(victims))
+        for i in victims:
+            _LOG.warning("reading shed", serial=items[i][0], day=items[i][1])
 
     def drain(self) -> list[Reading]:
         items, self._items = self._items, []
-        set_gauge("serve_queue_depth", 0)
         return items

@@ -16,10 +16,12 @@ fired at a daemon process via ``repro serve --input``.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import time
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from repro.telemetry.smart import SMART_COLUMNS
 
 __all__ = [
     "dataset_to_readings",
+    "feed",
     "iter_stream",
     "replay_into",
     "write_stream",
@@ -115,6 +118,42 @@ def iter_stream(path: str | Path) -> Iterator[dict]:
                 yield json.loads(line)
 
 
+def feed(
+    daemon: ServeDaemon,
+    readings: Iterable[Reading],
+    speed: float | None = None,
+    sleep=time.sleep,
+    min_day: int | None = None,
+    throttle_seconds: float = 0.0,
+    throttle_from_day: int | None = None,
+) -> None:
+    """Submit a day-major reading stream one day at a time.
+
+    Each run of same-day readings goes in with one
+    :meth:`ServeDaemon.submit_many`, and the daemon pumps once between
+    days. ``min_day`` skips readings below it (the resume path replays
+    only ``day >= daemon.watermark``). ``speed`` paces the stream at
+    simulated-days-per-second; ``throttle_seconds`` adds a flat delay
+    per day from ``throttle_from_day`` on (the serve-smoke harness uses
+    it to widen the kill window). The last day is left queued for
+    :meth:`ServeDaemon.finish`.
+    """
+    if min_day is not None:
+        readings = (reading for reading in readings if reading[1] >= min_day)
+    previous: int | None = None
+    for day, group in itertools.groupby(readings, key=operator.itemgetter(1)):
+        if previous is not None:
+            daemon.pump()
+            if speed:
+                sleep((day - previous) / speed)
+            if throttle_seconds and (
+                throttle_from_day is None or day >= throttle_from_day
+            ):
+                sleep(throttle_seconds)
+        daemon.submit_many(*zip(*group))
+        previous = day
+
+
 def replay_into(
     daemon: ServeDaemon,
     readings: list[Reading],
@@ -125,27 +164,11 @@ def replay_into(
     throttle_seconds: float = 0.0,
     throttle_from_day: int | None = None,
 ) -> dict:
-    """Fire ``readings`` at ``daemon``, pumping once per simulated day.
-
-    ``min_day`` skips readings below it (the resume path replays only
-    ``day >= daemon.watermark``). ``speed`` paces the replay at
-    simulated-days-per-second; ``throttle_seconds`` adds a flat delay
-    per day from ``throttle_from_day`` on (the serve-smoke harness uses
-    it to widen the kill window). Returns the daemon summary after
-    :meth:`ServeDaemon.finish`.
-    """
-    current_day: int | None = None
-    for serial, day, reading in readings:
-        if min_day is not None and day < min_day:
-            continue
-        if current_day is not None and day != current_day:
-            daemon.pump()
-            if speed:
-                sleep((day - current_day) / speed)
-            if throttle_seconds and (
-                throttle_from_day is None or day >= throttle_from_day
-            ):
-                sleep(throttle_seconds)
-        current_day = day
-        daemon.submit(serial, day, reading)
+    """Fire ``readings`` at ``daemon`` through :func:`feed`, pumping
+    once per simulated day; return the summary after
+    :meth:`ServeDaemon.finish`."""
+    feed(
+        daemon, readings, speed=speed, sleep=sleep, min_day=min_day,
+        throttle_seconds=throttle_seconds, throttle_from_day=throttle_from_day,
+    )
     return daemon.finish(end_day)

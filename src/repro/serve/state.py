@@ -22,6 +22,8 @@ scoring circuit breaker).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.client import ClientPredictor, ReadingBatch
@@ -42,6 +44,11 @@ class IncrementalScorer:
     @property
     def has_reduced(self) -> bool:
         return self.reduced is not None
+
+    def parse(self, serials, days, readings) -> ReadingBatch:
+        """Parse readings in the layout :meth:`stage` reads (see
+        :meth:`ClientPredictor.parse`)."""
+        return self.full.parse(serials, days, readings)
 
     def stage(self, batch: ReadingBatch) -> tuple[np.ndarray, dict[int, Exception]]:
         """Commit a parsed batch of readings; return ``(rows, rejections)``.
@@ -81,6 +88,21 @@ class IncrementalScorer:
         self.full.restore(snapshot["full"])
 
 
+_FIRMWARE_DIMENSION = list(DIMENSION_COLUMNS).index("firmware")
+
+
+@functools.lru_cache(maxsize=64)
+def _dimension_columns(keys: tuple) -> np.ndarray:
+    """``(len(keys), dimensions)`` mask: which keys belong to which
+    dimension (firmware is no key; it is tested on the labels)."""
+    member = np.array(
+        [[key in columns for columns in DIMENSION_COLUMNS.values()] for key in keys],
+        dtype=bool,
+    ).reshape(len(keys), len(DIMENSION_COLUMNS))
+    member.flags.writeable = False
+    return member
+
+
 class DimensionFreshness:
     """Consecutive-absence staleness detector per feature dimension."""
 
@@ -93,17 +115,12 @@ class DimensionFreshness:
     def observe(self, batch: ReadingBatch) -> None:
         """Advance every streak over a batch of admitted readings, in order."""
         n = len(batch)
-        position = batch.position
-        for name, columns in DIMENSION_COLUMNS.items():
-            index = [position[c] for c in columns if c in position]
-            seen = batch.present[:, index].any(axis=1)
-            if "firmware" in columns:
-                seen |= np.array([f is not None for f in batch.firmware], dtype=bool)
-            hits = np.flatnonzero(seen)
-            if hits.size:
-                self._streaks[name] = int(n - 1 - hits[-1])
-            else:
-                self._streaks[name] += n
+        seen = batch.present @ _dimension_columns(batch.keys)
+        seen[:, _FIRMWARE_DIMENSION] |= batch.label_index >= 0
+        # the last reading that carried each dimension, -1 for none
+        last = (seen * np.arange(1, n + 1)[:, None]).max(axis=0, initial=0) - 1
+        for name, hit in zip(DIMENSION_COLUMNS, last.tolist()):
+            self._streaks[name] = n - 1 - hit if hit >= 0 else self._streaks[name] + n
 
     def stale_dimensions(self) -> tuple[str, ...]:
         return tuple(

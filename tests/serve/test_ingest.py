@@ -1,11 +1,15 @@
 """Ingest gate rules, drive banning and bounded-queue shedding."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.client import parse_readings
 from repro.obs import get_registry
+from repro.serve import ingest
 from repro.serve.ingest import BoundedReadingQueue, GatePolicy, ReadingGate
 
 from .gate_oracle import batch_readings
@@ -251,6 +255,79 @@ class TestBoundedQueue:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             BoundedReadingQueue(capacity=0)
+
+
+def _reference_offers(capacity, alarmed, bursts):
+    """The queue as it shed one offer at a time: ``(kept, victims)``."""
+    items, victims = [], []
+    for burst in bursts:
+        for item in burst:
+            if len(items) >= capacity:
+                victim = next(
+                    (i for i, queued in enumerate(items) if queued[0] not in alarmed), 0
+                )
+                victims.append(items.pop(victim))
+            items.append(item)
+    return items, victims
+
+
+def _offer_all(offer, capacity, alarmed, bursts):
+    """``(kept, shed counter, victims in shed order)`` after ``offer``
+    puts every burst into a fresh queue."""
+    get_registry().reset()
+    queue = BoundedReadingQueue(capacity, is_alarmed=lambda serial: serial in alarmed)
+    with mock.patch.object(ingest, "_LOG") as log:
+        for burst in bursts:
+            offer(queue, burst)
+    victims = [
+        (c.kwargs["serial"], c.kwargs["day"]) for c in log.warning.call_args_list
+    ]
+    return queue.drain(), _counter("serve_readings_shed_total"), victims
+
+
+def _one_at_a_time(queue, burst):
+    for item in burst:
+        queue.offer(*item)
+
+
+def _as_batch(queue, burst):
+    queue.offer_many(
+        [serial for serial, _, _ in burst],
+        [day for _, day, _ in burst],
+        [reading for _, _, reading in burst],
+    )
+
+
+class TestOfferMany:
+    """``offer_many`` sheds exactly as one ``offer`` per reading does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        alarmed=st.sets(st.integers(0, 4), max_size=4),
+        bursts=st.lists(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 30)), max_size=14),
+            max_size=4,
+        ),
+    )
+    def test_offer_many_equals_repeated_offer(self, capacity, alarmed, bursts):
+        bursts = [
+            [(serial, day, {"n": k}) for k, (serial, day) in enumerate(burst)]
+            for burst in bursts
+        ]
+        kept, victims = _reference_offers(capacity, alarmed, bursts)
+        expected = (kept, float(len(victims)), [(s, d) for s, d, _ in victims])
+        assert _offer_all(_one_at_a_time, capacity, alarmed, bursts) == expected
+        assert _offer_all(_as_batch, capacity, alarmed, bursts) == expected
+
+    def test_burst_past_capacity_with_alarmed_drives(self):
+        # When (2, 2) arrives every queued drive has alarmed, so the
+        # oldest alarmed entry goes, not a non-alarmed later arrival;
+        # after that the oldest non-alarmed entry goes each time.
+        burst = [(1, 0, {}), (1, 1, {}), (2, 2, {}), (2, 3, {}), (3, 4, {})]
+        assert _offer_all(_as_batch, 2, {1}, [burst]) == (
+            [(1, 1, {}), (3, 4, {})], 3.0, [(1, 0), (2, 2), (2, 3)]
+        )
 
 
 def _gauge(name: str) -> float:

@@ -17,6 +17,7 @@ Covers the serve-side acceptance properties of the obs plane:
 from __future__ import annotations
 
 import json
+import re
 import urllib.error
 import urllib.request
 
@@ -25,8 +26,9 @@ import pytest
 
 from repro.core.drift import population_stability_index
 from repro.obs import get_registry
-from repro.obs.server import ObsServer
-from repro.serve import ServeConfig, ServeDaemon, replay_into
+from repro.obs.server import ObsServer, _render_prometheus
+from repro.robustness.checkpoint import read_checkpoint
+from repro.serve import SERVE_FILES, ServeConfig, ServeDaemon, replay_into
 from repro.serve.drift import DriftMonitor, ReferenceProfile
 from tests.obs.promparse import validate_exposition
 
@@ -286,6 +288,51 @@ class TestMetricsContinuity:
         # Gauges are current-truth, not merged history: the drained
         # queue reads 0 even though the checkpoint snapshot said more.
         assert resumed.health_snapshot()["checks"]["queue"]["depth"] == 0
+
+
+def _scraped_queue_depth() -> float:
+    text = _render_prometheus(get_registry())
+    return float(re.search(r"^serve_queue_depth (\S+)$", text, re.M).group(1))
+
+
+class TestQueueDepthAtScrape:
+    """Offers only append; ``serve_queue_depth`` is read from the queue
+    when the registry renders, so every scrape sees the true depth."""
+
+    def test_burst_of_submits_without_a_pump(
+        self, serve_models, serve_readings, serve_config
+    ):
+        full, reduced = serve_models
+        daemon = ServeDaemon.from_models(full, reduced, serve_config)
+        assert _scraped_queue_depth() == 0.0
+        for serial, day, reading in serve_readings[:25]:
+            daemon.submit(serial, day, reading)
+        assert _scraped_queue_depth() == 25.0
+        daemon.submit_many(*zip(*serve_readings[25:40]))
+        assert _scraped_queue_depth() == 40.0
+        daemon.pump()
+        assert _scraped_queue_depth() == 0.0
+
+    def test_resumed_snapshot_does_not_override_the_live_depth(
+        self, serve_models, serve_readings, serve_config, tmp_path
+    ):
+        full, reduced = serve_models
+        path = tmp_path / "ckpt"
+        daemon = ServeDaemon.from_models(
+            full, reduced, serve_config, checkpoint_dir=path
+        )
+        for serial, day, reading in serve_readings[:7]:
+            daemon.submit(serial, day, reading)
+        daemon._checkpoint()  # its registry snapshot holds a depth of 7
+        state = read_checkpoint(path, SERVE_FILES)["state.json"]
+        recorded = {family["name"]: family for family in state["metrics"]}
+        assert recorded["serve_queue_depth"]["samples"][0]["value"] == 7.0
+
+        get_registry().reset()  # kill -9: the next process starts empty
+        resumed = ServeDaemon.resume(path)
+        assert _scraped_queue_depth() == 0.0
+        resumed.submit(*serve_readings[7])
+        assert _scraped_queue_depth() == 1.0
 
 
 class TestServePsiParity:

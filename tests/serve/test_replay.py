@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.serve import ServeDaemon
 from repro.serve.replay import (
     dataset_to_readings,
     iter_stream,
@@ -10,6 +11,7 @@ from repro.serve.replay import (
 )
 
 from .conftest import END
+from .test_daemon import _feed, _subset
 
 
 class TestDatasetToReadings:
@@ -59,10 +61,12 @@ class TestStreamRoundTrip:
 class _RecordingDaemon:
     def __init__(self):
         self.submitted = []
+        self.batches = 0
         self.pumps = 0
 
-    def submit(self, serial, day, reading):
-        self.submitted.append((serial, day))
+    def submit_many(self, serials, days, readings):
+        self.submitted.extend(zip(serials, days))
+        self.batches += 1
 
     def pump(self):
         self.pumps += 1
@@ -83,6 +87,7 @@ class TestReplayInto:
         daemon = _RecordingDaemon()
         summary = replay_into(daemon, self.READINGS, end_day=20)
         assert len(daemon.submitted) == 4
+        assert daemon.batches == 3  # one submit_many per day
         assert daemon.pumps == 2  # 10→11 and 11→13
         assert summary == {"end_day": 20}
 
@@ -110,3 +115,23 @@ class TestReplayInto:
             sleep=slept.append,
         )
         assert slept == [0.5]  # only the 11→13 transition is at/after 12
+
+
+def test_replay_through_submit_many_matches_per_reading_submits(
+    serve_models, serve_readings, serve_config
+):
+    """One ``submit_many`` per day gives the alarms and summary of one
+    ``submit`` per reading (a fixed clock makes the latencies equal)."""
+    full, reduced = serve_models
+    readings = _subset(serve_readings, 40)
+
+    def daemon():
+        return ServeDaemon.from_models(full, reduced, serve_config, clock=lambda: 0.0)
+
+    batched = daemon()
+    summary = replay_into(batched, readings, end_day=END)
+    single = daemon()
+    _feed(single, readings)
+    assert summary["n_alarms"] > 0
+    assert summary == single.finish(END)
+    assert batched.alarm_records() == single.alarm_records()
