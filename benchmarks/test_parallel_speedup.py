@@ -1,8 +1,9 @@
 """Serial-vs-parallel wall-clock for the hot paths (``make bench-parallel``).
 
-Times forest fitting, grid search and fleet scoring serially and at
-``n_jobs`` ∈ {2, 4}, verifies the outputs are identical either way, and
-records machine-readable JSON under
+Times forest fitting, grid search and sharded fleet scoring (whole
+shards of a shard store per task) serially and at ``n_jobs`` ∈ {2, 4},
+verifies the outputs are identical either way, and records
+machine-readable JSON under
 ``benchmarks/results/parallel_speedup.json`` so speedups are tracked
 alongside the paper exhibits.
 
@@ -38,12 +39,14 @@ from benchmarks._util import (
     never_slower,
     save_exhibit,
 )
-from repro.core.deployment import FleetMonitor
+from repro.core.deployment import RetrainPolicy
+from repro.core.pipeline import MFPA, MFPAConfig
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import GridSearchCV, KFold
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel import effective_n_jobs, fork_available, shutdown_pool
 from repro.reporting import render_table
+from repro.scale import ShardedFleetMonitor, write_dataset_sharded
 from repro.telemetry import FleetConfig, VendorMix, simulate_fleet
 
 pytestmark = pytest.mark.parallel_bench
@@ -101,7 +104,10 @@ def _bench_grid_search():
     return run, check
 
 
-def _bench_fleet_scoring():
+def _bench_fleet_scoring(root):
+    """Sharded-monitor scoring of six windows over a 4-shard store, the
+    shards fanned out over the pool. The model is trained once, outside
+    the timed region, and never retrained, so only scoring is timed."""
     fleet = simulate_fleet(
         FleetConfig(
             mix=VendorMix({"I": 400}),
@@ -110,11 +116,14 @@ def _bench_fleet_scoring():
             seed=11,
         )
     )
+    store = write_dataset_sharded(fleet, root / "store", n_shards=4)
+    no_retrain = RetrainPolicy(interval_days=10_000)
+    model = MFPA(MFPAConfig()).fit(fleet, train_end_day=360)
 
     def run(n_jobs):
-        monitor = FleetMonitor(n_jobs=n_jobs)
-        monitor.start(fleet, train_end_day=360)
-        return [monitor.score_window(day, day + 30) for day in range(360, 540, 30)]
+        monitor = ShardedFleetMonitor(store, policy=no_retrain, n_jobs=n_jobs)
+        monitor.use_model(model, train_end_day=360)
+        return monitor.run(360, 540, window_days=30)
 
     def check(a, b):
         assert a == b
@@ -122,11 +131,11 @@ def _bench_fleet_scoring():
     return run, check
 
 
-def test_parallel_speedup():
+def test_parallel_speedup(tmp_path):
     benches = {
         "forest_fit": _bench_forest_fit,
         "grid_search": _bench_grid_search,
-        "fleet_scoring": _bench_fleet_scoring,
+        "fleet_scoring": lambda: _bench_fleet_scoring(tmp_path),
     }
     shutdown_pool()  # cold-start baseline: first dispatch pays the fork
     records = []

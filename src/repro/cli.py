@@ -114,14 +114,16 @@ def _add_simulate(subparsers) -> None:
     )
 
 
-def _add_n_jobs_flag(parser) -> None:
+def _add_n_jobs_flag(
+    parser, help: str = "worker processes for training and search"
+) -> None:
     parser.add_argument(
         "--n-jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for training/search/scoring (1 = serial, "
-        "-1 = all cores); results are identical at every setting",
+        help=f"{help} (1 = serial, -1 = all cores); results are identical "
+        "at every setting",
     )
 
 
@@ -309,7 +311,11 @@ def _add_monitor(subparsers) -> None:
         action="store_true",
         help="fall back to a reduced feature group when dimensions are missing",
     )
-    _add_n_jobs_flag(parser)
+    _add_n_jobs_flag(
+        parser,
+        help="worker processes that score the shards of a shard store in "
+        "parallel; in-RAM windows are scored serially",
+    )
     _add_split_algorithm_flag(parser)
     _add_memory_ceiling_flag(parser)
     _add_loading_flags(parser)
@@ -391,7 +397,6 @@ def _add_serve(subparsers) -> None:
         help="skip the training-time ReferenceProfile and per-window "
         "PSI drift monitoring",
     )
-    _add_n_jobs_flag(parser)
     parser.add_argument("--checkpoint-dir",
                         help="checkpoint daemon state at every window boundary")
     parser.add_argument(
@@ -447,7 +452,6 @@ def _add_chaos(subparsers) -> None:
         help="feed the corrupted dataset to the pipeline without quarantine "
         "ingestion (most faults will then crash it — that is the point)",
     )
-    _add_n_jobs_flag(parser)
     _add_split_algorithm_flag(parser)
     _add_obs_flags(parser)
 
@@ -748,7 +752,6 @@ def _run_monitor(args: argparse.Namespace, is_shard_store) -> int:
             allow_degraded=args.allow_degraded,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            n_jobs=args.n_jobs,
             initial_model=initial_model,
         )
     record_result("n_alarms", summary.n_alarms)
@@ -784,7 +787,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     clean = _load(args)
     fault_names = args.fault or sorted(FAULT_REGISTRY)
-    annotate_run(seed=args.seed, n_jobs=args.n_jobs, faults=fault_names)
+    annotate_run(seed=args.seed, faults=fault_names)
 
     def run(dataset):
         summary = simulate_operation(
@@ -794,7 +797,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             end_day=args.end_day,
             window_days=args.window_days,
             alarm_threshold=args.alarm_threshold,
-            n_jobs=args.n_jobs,
         )
         fpr_denominator = sum(1 for m in dataset.drives.values() if not m.failed)
         fpr = summary.false_alarms / fpr_denominator if fpr_denominator else float("nan")
@@ -921,7 +923,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_alarms_per_window=args.max_alarms_per_window,
         stale_after=args.stale_after,
         gate=gate,
-        n_jobs=args.n_jobs,
     )
     if args.resume and args.checkpoint_dir and has_checkpoint_files(
         args.checkpoint_dir, SERVE_FILES

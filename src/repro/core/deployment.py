@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.pipeline import MFPA, MFPAConfig
 from repro.obs import inc_counter, observe_histogram, trace_span
-from repro.parallel import ParallelExecutor, SharedPayload, share
 from repro.telemetry.dataset import TelemetryDataset
 
 
@@ -136,34 +135,11 @@ class OperationSummary:
         return float(np.median(self.lead_times))
 
 
-def _predict_chunk(model: SharedPayload, row_indices: np.ndarray) -> np.ndarray:
-    """Worker task: score one contiguous chunk of prepared-dataset rows."""
-    return model.get().predict_proba_rows(row_indices)
-
-
-def predict_rows_parallel(
-    model: MFPA, row_indices: np.ndarray, n_jobs: int = 1
-) -> np.ndarray:
-    """Positive-class probabilities for prepared-dataset rows.
-
-    With ``n_jobs > 1`` the rows fan out in contiguous chunks over a
-    worker pool; the fitted model travels to the workers by fork
-    inheritance (it is never pickled) and per-row independence makes
-    the concatenated result identical to the serial pass.
-    """
-    executor = ParallelExecutor(n_jobs)
-    # The executor's calibrated cost model decides serial-vs-pool per
-    # call; no hand-tuned row threshold here (small windows fall back
-    # to serial automatically, and the persistent pool makes dispatch
-    # cheap for the large ones).
-    if not executor.is_parallel:
-        return model.predict_proba_rows(row_indices)
-    chunks = np.array_split(row_indices, executor.n_jobs)
-    with share(model) as shared:
-        parts = executor.starmap(
-            _predict_chunk, [(shared, chunk) for chunk in chunks if chunk.size]
-        )
-    return np.concatenate(parts)
+def predict_rows_parallel(model: MFPA, row_indices: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities for prepared-dataset rows: the
+    window's one serial prediction pass (its own function so the pass
+    can be timed and traced by name)."""
+    return model.predict_proba_rows(row_indices)
 
 
 def score_prepared_window(
@@ -172,7 +148,6 @@ def score_prepared_window(
     alarm_threshold: float,
     start_day: int,
     end_day: int,
-    n_jobs: int = 1,
 ) -> tuple[list[Alarm], int]:
     """Score one window of ``model.dataset_``; the monitor's core step.
 
@@ -210,9 +185,8 @@ def score_prepared_window(
     alarms: list[Alarm] = []
     probabilities = np.empty(0)
     if n_scored:
-        # One batched prediction pass across every scored drive,
-        # chunked over the worker pool when n_jobs > 1.
-        probabilities = predict_rows_parallel(model, rows, n_jobs)
+        # One batched prediction pass across every scored drive.
+        probabilities = predict_rows_parallel(model, rows)
     scored = time.perf_counter()
 
     # Rows run in (serial, day) order, so the first crossing position
@@ -314,7 +288,6 @@ class FleetMonitor:
         policy: RetrainPolicy | None = None,
         alarm_threshold: float | None = None,
         allow_degraded: bool = False,
-        n_jobs: int = 1,
     ):
         self.config = config or MFPAConfig()
         self.policy = policy or RetrainPolicy()
@@ -324,7 +297,6 @@ class FleetMonitor:
         if not 0 < self.alarm_threshold < 1:
             raise ValueError("alarm_threshold must be in (0, 1)")
         self.allow_degraded = allow_degraded
-        self.n_jobs = n_jobs
         self.degraded_dimensions_: tuple[str, ...] = ()
         self._alarmed: set[int] = set()
         self._last_trained_day: int | None = None
@@ -402,10 +374,6 @@ class FleetMonitor:
         self._failures_at_training = known_failures
         return True
 
-    def _predict_rows(self, row_indices: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities for prepared-dataset rows."""
-        return predict_rows_parallel(self.model, row_indices, self.n_jobs)
-
     def score_window(self, start_day: int, end_day: int) -> MonitoringWindow:
         """Score every drive's records in ``[start_day, end_day)``.
 
@@ -438,7 +406,6 @@ class FleetMonitor:
             self.alarm_threshold,
             start_day,
             end_day,
-            n_jobs=self.n_jobs,
         )
         return MonitoringWindow(
             start_day=start_day,
@@ -523,7 +490,6 @@ def simulate_operation(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     max_windows: int | None = None,
-    n_jobs: int = 1,
     initial_model: MFPA | None = None,
 ) -> OperationSummary:
     """Replay a monitored operation and grade it against ground truth.
@@ -533,11 +499,9 @@ def simulate_operation(
     checkpoint instead of retraining from scratch, producing the same
     summary an uninterrupted run would. ``max_windows`` stops the
     replay early (a controlled "crash") after that many total windows,
-    returning a partial summary. ``n_jobs`` chunks the per-drive scoring
-    over a worker pool without changing any alarm or summary field.
-    ``initial_model`` (an artifact-loaded fitted :class:`MFPA`) skips
-    the initial training entirely — the first window is scored without
-    a ``fit()`` call.
+    returning a partial summary. ``initial_model`` (an artifact-loaded
+    fitted :class:`MFPA`) skips the initial training entirely — the
+    first window is scored without a ``fit()`` call.
     """
     boundaries = window_boundaries(start_day, end_day, window_days)
     if max_windows is not None and max_windows < 0:
@@ -559,14 +523,12 @@ def simulate_operation(
                     dataset, config or MFPAConfig()
                 )
             monitor, windows = load_checkpoint(checkpoint_dir, restore_dataset)
-            monitor.n_jobs = n_jobs
     if monitor is None:
         monitor = FleetMonitor(
             config=config,
             policy=policy,
             alarm_threshold=alarm_threshold,
             allow_degraded=allow_degraded,
-            n_jobs=n_jobs,
         )
         if initial_model is not None:
             monitor.start_with_model(

@@ -124,10 +124,20 @@ def worker_begin() -> None:
 
 
 def worker_collect() -> dict:
-    """Snapshot the worker's observations for shipping to the parent."""
+    """Snapshot the worker's observations for shipping to the parent.
+
+    Only counters and histograms travel: they are additive deltas. A
+    gauge describes the process that set it, and the worker's copies of
+    the parent's gauges (the pool size, the serve mode, the peak RSS)
+    read whatever the per-task reset left, so merging them would
+    overwrite the parent's live values."""
     return {
         "spans": get_tracer().snapshot(),
-        "metrics": get_registry().dump(),
+        "metrics": [
+            family
+            for family in get_registry().dump()
+            if family["type"] != "gauge"
+        ],
     }
 
 

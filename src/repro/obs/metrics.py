@@ -15,11 +15,13 @@ Exports:
   format (v0.0.4), scrapeable by pushing to a textfile collector.
 
 Process safety mirrors the tracer: fork workers reset their inherited
-registry per task, ship a :meth:`dump` back with the task result, and
-the parent :meth:`merge`\\ s it — counters and histogram buckets add,
-gauges take the worker's last write. Shipping only happens while
-capture is enabled (see :func:`set_capture`), so the default path pays
-nothing.
+registry per task, ship the counters and histograms of a :meth:`dump`
+back with the task result, and the parent :meth:`merge`\\ s them —
+counters and histogram buckets add. Gauges stay in the process that
+sets them: a worker ships none, and :meth:`merge` sets a gauge only
+from a dump that carries it, such as the checkpointed registry serve
+``resume`` restores. Shipping only happens while capture is enabled
+(see :func:`set_capture`), so the default path pays nothing.
 
 The well-known families of the instrumentation (the metric catalog in
 ``docs/observability.md``) are pre-declared at registry construction so

@@ -1,22 +1,24 @@
 """Process-pool execution substrate for the embarrassingly parallel paths.
 
 The MFPA workload (per-tree forest fitting, per-candidate grid search,
-per-feature forward selection, per-drive fleet scoring) decomposes into
-independent tasks that all read the *same* large arrays. This module
-provides the one primitive everything shares:
+per-feature forward selection, per-shard scoring of a shard store)
+decomposes into independent tasks that all read the *same* large
+arrays; scoring one window stays a single serial prediction pass. This
+module provides the one primitive everything shares:
 
 * :class:`ParallelExecutor` — ``starmap`` over a task list, either
   in-process (``n_jobs=1``, the deterministic reference path) or on the
   **persistent** ``fork``-context worker pool owned by
   :mod:`repro.parallel.pool`. The pool is forked lazily on the first
-  parallel dispatch and reused across forest trees, GBDT rounds,
-  grid-search candidates, monitor windows and sharded-monitor shards;
-  it re-forks transparently when workers die or when task arguments
-  carry payloads registered after the fork. Task order is always
-  preserved, so callers that pre-derive per-task seeds get
+  parallel dispatch and reused by every later dispatch that fits it —
+  across forward-selection rounds and across the sharded monitor's
+  shard groups; it re-forks transparently when workers die or when
+  task arguments carry payloads registered after the fork. Task order
+  is always preserved, so callers that pre-derive per-task seeds get
   **bit-identical** results at every ``n_jobs``.
-* :func:`share` — registers a payload (feature matrix, fitted model) in
-  the generation-tagged registry (:mod:`repro.parallel.shared`).
+* :func:`share` — registers a payload (feature matrix, shard-scoring
+  context) in the generation-tagged registry
+  (:mod:`repro.parallel.shared`).
   Workers inherit the registry through copy-on-write fork memory and
   dereference a tiny :class:`SharedPayload` token, so the dataset is
   never pickled per task — only the token and per-task index arrays
@@ -283,18 +285,12 @@ class ParallelExecutor:
         # Small chunks keep the pool busy when task durations are skewed
         # (deep trees next to stumps) without flooding the result pipe.
         chunksize = max(1, len(tasks) // (workers * 4))
-        try:
-            raw = pool_manager.acquire(workers, generation).starmap(
-                pool_task, pool_args, chunksize=chunksize
-            )
-        except StalePayloadError:
-            # A worker forked before a payload it was handed (e.g. the
-            # registry changed between acquire() and dispatch). Re-fork
-            # once against the current registry and retry.
-            pool_manager.shutdown()
-            raw = pool_manager.acquire(workers, generation).starmap(
-                pool_task, pool_args, chunksize=chunksize
-            )
+        # acquire() forks at or after the newest token the tasks carry,
+        # and tokens leave the registry only when their share() exits,
+        # so every live handle here is in the workers' snapshot.
+        raw = pool_manager.acquire(workers, generation).starmap(
+            pool_task, pool_args, chunksize=chunksize
+        )
         if not capture:
             return raw
         results = []

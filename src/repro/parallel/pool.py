@@ -1,11 +1,9 @@
 """Persistent fork-pool lifecycle for :class:`ParallelExecutor`.
 
-The original executor forked a fresh ``multiprocessing.Pool`` on every
-``starmap`` call, paying pool start-up plus copy-on-write page-fault
-cost per forest, per GBDT round, per grid-search candidate and per
-monitor window — the measured net loss recorded in
-``benchmarks/results/parallel_speedup.json``. This module owns exactly
-one process-wide pool instead:
+Forking a fresh ``multiprocessing.Pool`` on every ``starmap`` call
+pays pool start-up plus copy-on-write page-fault cost per forest, per
+grid search, per forward-selection round and per shard group. This
+module owns exactly one process-wide pool instead:
 
 * **Lazy fork, broad reuse.** The pool is created on the first parallel
   dispatch and reused by every later one that fits inside it

@@ -5,34 +5,20 @@ through the task pipe. Instead the parent registers them here, the pool
 inherits the registry through ``fork`` copy-on-write memory, and tasks
 carry a pickle-cheap :class:`SharedPayload` token.
 
-With the persistent worker pool (:mod:`repro.parallel.pool`) the pool
-can outlive any single ``share()`` context, so the registry is
-**generation-tagged**: every *new* registration bumps a global
-generation counter, each payload remembers the generation it was
-registered at, and the executor compares those against the generation
-the pool forked at. A payload newer than the pool triggers a controlled
-pool restart (re-fork) instead of a stale-token crash inside a worker.
-
-Two deliberate lifecycle quirks:
-
-* **Identity reuse.** Re-sharing the *same object* returns the same
-  token at its original generation. The fleet monitor shares its fitted
-  model once per window; identity reuse means only the first window
-  (and the first window after a retrain) pays a pool restart — every
-  later window reuses both the token and the live pool.
-* **Deferred eviction.** When the last ``share()`` context for a
-  payload exits, the entry is only marked *released*, not deleted —
-  deleting it would defeat identity reuse one window later. Released
-  entries are evicted in bulk whenever a genuinely new payload
-  registers (the pool restarts then anyway). Parent-side ``get()`` on a
-  released handle still raises, preserving the "handles are only valid
-  inside their context" contract; worker-side ``get()`` ignores the
-  release flag because the worker's registry is a fork-time snapshot.
+Every ``share()`` registers its payload under a fresh token, and tokens
+only grow, so the token is also the payload's **generation**: the
+executor compares the newest token a task list carries against the
+generation the persistent pool (:mod:`repro.parallel.pool`) forked at,
+and re-forks when a payload is newer than the workers' registry
+snapshot — a controlled restart instead of a stale-token crash inside a
+worker. Leaving the ``share()`` context deletes the entry, so the
+registry keeps a payload alive only while a caller shares it; a handle
+used after that raises :class:`StalePayloadError` in the parent.
+Workers keep their fork-time snapshot until the pool re-forks.
 """
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -41,28 +27,14 @@ __all__ = [
     "StalePayloadError",
     "in_worker",
     "mark_worker",
-    "register_shared",
     "registry_generation",
-    "release_shared",
     "share",
 ]
 
 #: token -> payload. Forked workers see a copy-on-write snapshot.
 _REGISTRY: dict[int, Any] = {}
-#: token -> number of live share() contexts (0 = released, cached).
-_REFS: dict[int, int] = {}
-#: token -> generation the payload was registered at.
-_GENERATIONS: dict[int, int] = {}
-#: token -> human-readable payload name (for error messages).
-_NAMES: dict[int, str] = {}
-#: id(payload) -> token, for identity reuse. Entries are valid only
-#: while the token is registered (the registry holds the strong ref
-#: that keeps ``id`` stable).
-_BY_ID: dict[int, int] = {}
-
-_TOKENS = itertools.count()
-#: Bumped on every *new* registration; the pool records the value it
-#: forked at and restarts when payloads newer than the fork appear.
+#: The newest token issued; the pool records the value it forked at and
+#: restarts when payloads newer than the fork appear.
 _GENERATION = 0
 
 #: True inside pool workers (set by the pool initializer at fork).
@@ -120,75 +92,21 @@ class SharedPayload:
 
     def get(self) -> Any:
         try:
-            payload = _REGISTRY[self.token]
+            return _REGISTRY[self.token]
         except KeyError:
             raise StalePayloadError(
                 self.name,
                 self.generation,
-                "is not registered in this process; handles are only valid "
-                "inside the share() context that created them, and workers "
-                "must fork at or after the payload's generation",
+                "is not registered in this process: it was released when "
+                "its share() context exited, or this worker forked before "
+                "it was registered",
             ) from None
-        if not _IN_WORKER and _REFS.get(self.token, 0) < 1:
-            raise StalePayloadError(
-                self.name,
-                self.generation,
-                "was released; SharedPayload handles are only valid inside "
-                "the share() context that created them",
-            )
-        return payload
 
     def __getstate__(self) -> tuple[int, str, int]:
         return (self.token, self.name, self.generation)
 
-    def __setstate__(self, state: tuple[int, str, int] | int) -> None:
-        if isinstance(state, tuple):
-            self.token, self.name, self.generation = state
-        else:  # handles pickled by the pre-generation executor
-            self.token, self.name, self.generation = state, "payload", 0
-
-
-def _evict_released() -> None:
-    """Drop zero-ref (released) entries; runs before a new registration
-    bumps the generation, i.e. exactly when the pool restarts anyway."""
-    for token in [t for t, refs in _REFS.items() if refs < 1]:
-        payload = _REGISTRY.pop(token)
-        _BY_ID.pop(id(payload), None)
-        _REFS.pop(token, None)
-        _GENERATIONS.pop(token, None)
-        _NAMES.pop(token, None)
-
-
-def register_shared(payload: Any, name: str | None = None) -> SharedPayload:
-    """Register ``payload`` (or re-claim its cached registration).
-
-    Sharing an object that is already registered — live or released —
-    returns a handle to the existing token at its original generation,
-    so repeated ``share(model)`` calls with the same model never force
-    a pool restart. Only a genuinely new payload bumps the generation.
-    """
-    global _GENERATION
-    token = _BY_ID.get(id(payload))
-    if token is not None and _REGISTRY.get(token) is payload:
-        _REFS[token] = _REFS.get(token, 0) + 1
-        return SharedPayload(token, _NAMES[token], _GENERATIONS[token])
-    _evict_released()
-    _GENERATION += 1
-    token = next(_TOKENS)
-    label = name if name is not None else type(payload).__name__
-    _REGISTRY[token] = payload
-    _REFS[token] = 1
-    _GENERATIONS[token] = _GENERATION
-    _NAMES[token] = label
-    _BY_ID[id(payload)] = token
-    return SharedPayload(token, label, _GENERATION)
-
-
-def release_shared(handle: SharedPayload) -> None:
-    """Drop one ``share()`` reference; the entry stays cached at zero
-    refs until the next new registration evicts it."""
-    if handle.token in _REFS:
-        _REFS[handle.token] = max(0, _REFS[handle.token] - 1)
+    def __setstate__(self, state: tuple[int, str, int]) -> None:
+        self.token, self.name, self.generation = state
 
 
 @contextmanager
@@ -197,11 +115,15 @@ def share(payload: Any, name: str | None = None) -> Iterator[SharedPayload]:
 
     The executor guarantees any pool serving tasks that reference the
     returned handle forked at or after the registration (restarting the
-    pool when necessary), so the context no longer needs to enclose
-    pool creation — but handles still must not escape the context.
+    pool when necessary), so the context need not enclose pool creation
+    — but handles must not escape it: exit deletes the entry.
     """
-    handle = register_shared(payload, name)
+    global _GENERATION
+    _GENERATION += 1
+    token = _GENERATION
+    _REGISTRY[token] = payload
+    label = name if name is not None else type(payload).__name__
     try:
-        yield handle
+        yield SharedPayload(token, label, token)
     finally:
-        release_shared(handle)
+        del _REGISTRY[token]

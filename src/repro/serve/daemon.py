@@ -62,7 +62,6 @@ from repro.obs import (
     set_gauge,
     trace_span,
 )
-from repro.parallel import ParallelExecutor, SharedPayload, share
 from repro.scale.memory import update_peak_rss_gauge
 from repro.robustness.checkpoint import commit, read_checkpoint
 from repro.robustness.degraded import fit_reduced_model
@@ -80,18 +79,6 @@ _LOG = get_logger("repro.serve.daemon")
 SERVE_STATE_VERSION = 1
 #: The file pair a serve-daemon checkpoint consists of.
 SERVE_FILES = ("model.pkl", "state.json")
-
-
-def _predict_rows_task(
-    scorer: SharedPayload, X: np.ndarray, reduced: bool
-) -> np.ndarray:
-    """Worker task: score one chunk of a staged batch.
-
-    Prediction only reads the fitted models (never the drive state), so
-    the fork-shared scorer needs no synchronization.
-    """
-    scorer = scorer.get()
-    return (scorer.predict_reduced if reduced else scorer.predict_full)(X)
 
 
 class _StagedRows:
@@ -143,16 +130,10 @@ class ServeConfig:
     cooldown_ticks: int = 2
     slow_tick_seconds: float = 5.0
     gate: GatePolicy = field(default_factory=GatePolicy)
-    n_jobs: int = 1
-    """Worker processes for batch scoring (1 = serial). The persistent
-    pool amortizes its fork across every window the daemon flushes, and
-    the calibrated fallback keeps small batches serial — results are
-    identical at every setting. Read via ``getattr`` with a default so
-    checkpoints written before this field existed still restore."""
     heartbeat_timeout_seconds: float = 60.0
     """`/health` readiness flips once the pump loop has been silent this
-    long (measured on the daemon clock). Read via ``getattr`` for
-    pre-field checkpoint compatibility, like ``n_jobs``."""
+    long (measured on the daemon clock). Read via ``getattr`` so
+    checkpoints written before this field existed still restore."""
     drift_event_budget_windows: int = 3
     """Minimum flushed windows between two severe-drift events (the
     drift monitor's alarm-fatigue rate budget). ``getattr``-read."""
@@ -476,29 +457,11 @@ class ServeDaemon:
         """Batched probabilities for the staged rows; returns the
         probabilities plus the route actually used (a full-route failure
         falls back to the reduced model mid-window).
-
-        With ``config.n_jobs > 1`` each batch's rows are chunked over
-        the persistent worker pool; the scorer travels by fork
-        inheritance and per-row independence keeps the concatenated
-        probabilities identical to the serial pass. Retries and the
-        circuit breaker wrap the whole parallel call, so failure
-        semantics are unchanged.
         """
         reduced = degraded_route and self.scorer.has_reduced
         predict = (
             self.scorer.predict_reduced if reduced else self.scorer.predict_full
         )
-        executor = ParallelExecutor(getattr(self.config, "n_jobs", 1))
-        if executor.is_parallel:
-
-            def predict(X, _executor=executor):
-                chunks = np.array_split(X, _executor.n_jobs)
-                with share(self.scorer, name="serve_scorer") as handle:
-                    parts = _executor.starmap(
-                        _predict_rows_task,
-                        [(handle, chunk, reduced) for chunk in chunks if len(chunk)],
-                    )
-                return np.concatenate(parts)
         stage = "score_reduced" if reduced else "score_full"
         probabilities: list[np.ndarray] = []
         for offset in range(0, len(rows), self.config.batch_size):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.preprocess import preprocess
+from repro.scale import write_dataset_sharded
 from repro.telemetry import FleetConfig, VendorMix, simulate_fleet
 
 
@@ -47,6 +48,13 @@ def prepared_fleet(small_fleet):
     """The small fleet after the full §III-C(1) preprocessing stage."""
     prepared, report, encoder = preprocess(small_fleet)
     return prepared, report, encoder
+
+
+@pytest.fixture(scope="session")
+def shard_store(small_fleet, tmp_path_factory):
+    """The small fleet written as a 3-shard store (read-only)."""
+    root = tmp_path_factory.mktemp("scale-store") / "store"
+    return write_dataset_sharded(small_fleet, root, n_shards=3)
 
 
 @pytest.fixture(scope="session")

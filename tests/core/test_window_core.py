@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deployment import FleetMonitor, RetrainPolicy, score_prepared_window
 from repro.core.features import FeatureAssembler, feature_group
 from repro.obs import get_registry
-from repro.parallel import shutdown_pool
-from repro.parallel.calibration import set_serial_fallback_mode
 from repro.telemetry.dataset import DriveMeta, TelemetryDataset
 
 from .window_oracle import oracle_assemble, oracle_score_window
@@ -87,24 +85,11 @@ def fitted(small_fleet):
     return monitor.model
 
 
-@pytest.fixture(scope="module")
-def pool_paths():
-    """Send ``n_jobs=2`` through the worker pool even on one core."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_PARALLEL_OVERSUBSCRIBE", "1")
-        set_serial_fallback_mode("never")
-        yield
-        set_serial_fallback_mode("auto")
-        shutdown_pool()
-
-
-def _assert_window_parity(model, alarmed, threshold, start, end, n_jobs):
+def _assert_window_parity(model, alarmed, threshold, start, end):
     expected_alarmed = set(alarmed)
     actual_alarmed = set(alarmed)
     expected = oracle_score_window(model, expected_alarmed, threshold, start, end)
-    actual = score_prepared_window(
-        model, actual_alarmed, threshold, start, end, n_jobs=n_jobs
-    )
+    actual = score_prepared_window(model, actual_alarmed, threshold, start, end)
     assert actual == expected
     assert actual_alarmed == expected_alarmed
     for alarm in actual[0]:
@@ -117,7 +102,6 @@ class TestScoreWindowParity:
     @settings(
         max_examples=150,
         deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
         model=table_models(),
@@ -125,15 +109,11 @@ class TestScoreWindowParity:
         start=st.integers(-5, 65),
         length=st.integers(1, 40),
         alarmed=st.sets(st.integers(0, 40), max_size=4),
-        n_jobs=st.sampled_from([1, 2]),
     )
-    def test_matches_per_drive_oracle(
-        self, pool_paths, model, threshold, start, length, alarmed, n_jobs
-    ):
-        _assert_window_parity(model, alarmed, threshold, start, start + length, n_jobs)
+    def test_matches_per_drive_oracle(self, model, threshold, start, length, alarmed):
+        _assert_window_parity(model, alarmed, threshold, start, start + length)
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_unsorted_drives_orphan_rows_and_idle_drives(self, pool_paths, n_jobs):
+    def test_unsorted_drives_orphan_rows_and_idle_drives(self):
         days = {
             3: [1, 5, 9],  # crosses on day 5
             7: [2, 4],  # crosses on day 2
@@ -144,29 +124,25 @@ class TestScoreWindowParity:
         }
         scores = [0.1, 0.9, 0.95, 0.7, 0.2, 0.99, 0.99, 0.9, 0.9, 0.9, 0.9, 0.9, 0.3]
         model = _table_model(days, [30, 25, 11, 7, 3], scores)
-        alarms, n_scored = _assert_window_parity(model, {25}, 0.5, 0, 30, n_jobs)
+        alarms, n_scored = _assert_window_parity(model, {25}, 0.5, 0, 30)
         assert [(a.serial, a.day) for a in alarms] == [(7, 2), (3, 5)]
         assert n_scored == 3
 
     @settings(
         max_examples=20,
         deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
         threshold=st.sampled_from([0.05, 0.2, 0.5]),
         start=st.integers(230, 330),
         length=st.sampled_from([7, 15, 30]),
         n_alarmed=st.integers(0, 20),
-        n_jobs=st.sampled_from([1, 2]),
     )
     def test_fitted_model_matches_oracle(
-        self, pool_paths, fitted, threshold, start, length, n_alarmed, n_jobs
+        self, fitted, threshold, start, length, n_alarmed
     ):
         alarmed = set(list(fitted.dataset_.drives)[::7][:n_alarmed])
-        _assert_window_parity(
-            fitted, alarmed, threshold, start, start + length, n_jobs
-        )
+        _assert_window_parity(fitted, alarmed, threshold, start, start + length)
 
 
 class TestWindowStageHistogram:

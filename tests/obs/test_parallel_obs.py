@@ -13,9 +13,11 @@ from repro.obs import (
     enable_observability,
     get_registry,
     get_tracer,
+    set_gauge,
     trace_span,
 )
 from repro.parallel import ParallelExecutor, fork_available, shutdown_pool
+from repro.parallel import pool as pool_manager
 from repro.parallel.calibration import set_serial_fallback_mode
 
 pytestmark = pytest.mark.smoke
@@ -35,6 +37,14 @@ def force_pool_paths(monkeypatch):
     yield
     set_serial_fallback_mode("auto")
     shutdown_pool()
+
+
+@pytest.fixture(scope="module")
+def training_data():
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(0, 1, (150, 6)), rng.normal(1.2, 1, (150, 6))])
+    y = np.array([0] * 150 + [1] * 150)
+    return X, y
 
 
 def _traced_task(x):
@@ -98,6 +108,25 @@ class TestWorkerAggregation:
         assert get_registry().counter("parallel_pool_forks_total").value == 1
         assert get_registry().counter("parallel_pool_reuses_total").value == 1
 
+    @needs_fork
+    def test_worker_deltas_leave_parent_gauges_alone(self, training_data):
+        """Workers ship counters and histograms, not gauges: after a
+        pooled fit the parent still reads its own pool size and the
+        serve mode it set before the fit."""
+        X, y = training_data
+        enable_observability()
+        try:
+            set_gauge("serve_degraded_mode", 1)
+            RandomForestClassifier(n_estimators=8, seed=0, n_jobs=2).fit(X, y)
+            stats = pool_manager.pool_stats()
+            assert stats["live"] and stats["workers"] == 2
+            registry = get_registry()
+            assert registry.gauge("parallel_pool_workers").value == 2
+            assert registry.gauge("serve_degraded_mode").value == 1
+            assert registry.counter("forest_trees_fitted_total").value == 8
+        finally:
+            disable_observability()
+
     def test_no_capture_no_span_shipping(self):
         # With observability off, results flow through the plain task
         # protocol and nothing is recorded.
@@ -107,15 +136,6 @@ class TestWorkerAggregation:
 
 
 class TestNonPerturbation:
-    @pytest.fixture(scope="class")
-    def training_data(self):
-        rng = np.random.default_rng(0)
-        X = np.vstack(
-            [rng.normal(0, 1, (150, 6)), rng.normal(1.2, 1, (150, 6))]
-        )
-        y = np.array([0] * 150 + [1] * 150)
-        return X, y
-
     def _fit_predict(self, training_data, n_jobs):
         X, y = training_data
         model = RandomForestClassifier(n_estimators=8, seed=0, n_jobs=n_jobs)

@@ -22,6 +22,7 @@ from repro.core.deployment import FleetMonitor, RetrainPolicy
 from repro.ml.forest import RandomForestClassifier
 from repro.parallel import shutdown_pool
 from repro.parallel.calibration import get_cost_model, set_serial_fallback_mode
+from repro.scale import ShardedFleetMonitor
 
 pytestmark = pytest.mark.smoke
 
@@ -77,29 +78,30 @@ def test_tiny_forest_fit_never_slower(
 
 
 def test_tiny_fleet_scoring_never_slower(
-    production_parallel_config, small_fleet
+    production_parallel_config, small_fleet, shard_store
 ):
-    """Times scoring only: the model is trained once, outside the timed
-    region, and never retrained, so neither arm pays for a fit. Serial
-    and parallel runs interleave, and each arm's best run is compared,
-    so a burst of host noise lands on both arms alike."""
+    """Times the sharded monitor's scoring only: the model is trained
+    once, outside the timed region, and never retrained, so neither arm
+    pays for a fit. At ``n_jobs=4`` the shards fan out over the pool.
+    Serial and parallel runs interleave, and each arm's best run is
+    compared, so a burst of host noise lands on both arms alike."""
     no_retrain = RetrainPolicy(interval_days=10_000)
     trained = FleetMonitor(policy=no_retrain)
     trained.start(small_fleet, train_end_day=240)
 
     best = {1: float("inf"), 4: float("inf")}
-    windows = {}
+    summaries = {}
     for _ in range(SCORING_REPEATS):
         for n_jobs in best:
-            monitor = FleetMonitor(policy=no_retrain, n_jobs=n_jobs)
-            monitor.start_with_model(trained.model, small_fleet, train_end_day=240)
+            monitor = ShardedFleetMonitor(
+                shard_store, policy=no_retrain, n_jobs=n_jobs
+            )
+            monitor.use_model(trained.model, train_end_day=240)
             started = time.perf_counter()
-            windows[n_jobs] = [
-                monitor.score_window(day, day + 40) for day in range(240, 360, 40)
-            ]
+            summaries[n_jobs] = monitor.run(240, 360, window_days=40)
             best[n_jobs] = min(best[n_jobs], time.perf_counter() - started)
     serial_seconds, parallel_seconds = best[1], best[4]
-    assert windows[1] == windows[4]
+    assert summaries[1] == summaries[4]
     assert never_slower(
         serial_seconds, parallel_seconds, slack_seconds=TINY_SLACK_SECONDS
     ), f"tiny fleet scoring: serial {serial_seconds:.3f}s, n_jobs=4 {parallel_seconds:.3f}s"

@@ -9,7 +9,6 @@ for each parallelized surface.
 import numpy as np
 import pytest
 
-from repro.core.deployment import simulate_operation
 from repro.core.selection import SequentialForwardSelector, youden_score
 from repro.core.splitting import TimeSeriesCrossValidator
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
@@ -123,24 +122,6 @@ class TestPipelineDeterminism:
 
 
 class TestMonitorDeterminism:
-    def test_operation_summary_identical(self, small_fleet):
-        def run(n_jobs):
-            return simulate_operation(
-                small_fleet,
-                start_day=240,
-                end_day=360,
-                window_days=40,
-                n_jobs=n_jobs,
-            )
-
-        serial = run(1)
-        parallel = run(2)
-        assert serial.windows == parallel.windows
-        assert serial.true_alarms == parallel.true_alarms
-        assert serial.false_alarms == parallel.false_alarms
-        assert serial.missed_failures == parallel.missed_failures
-        assert serial.lead_times == parallel.lead_times
-
     def test_time_series_cv_selection_identical(self):
         rng = np.random.default_rng(1)
         y = rng.integers(0, 2, 240)

@@ -1,20 +1,24 @@
 """Persistent-pool lifecycle: reuse, re-fork, calibration, clamping.
 
 The pool outliving a single ``starmap`` is only correct if nothing
-observable changes when it does: forest and monitor outputs must stay
-bit-identical across pool reuse, across an induced worker death and
-re-fork, and with the calibrated serial fallback forced both on and
-off. The conftest fixture pins fallback mode ``"never"`` (and disables
-the cpu_count clamp); tests that exercise other modes set their own.
+observable changes when it does: forest and sharded-monitor outputs
+must stay bit-identical across pool reuse, across an induced worker
+death and re-fork, and with the calibrated serial fallback forced both
+on and off. The conftest fixture pins fallback mode ``"never"`` (and
+disables the cpu_count clamp); tests that exercise other modes set
+their own.
 """
 
+import gc
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core.deployment import simulate_operation
+from repro.core.deployment import RetrainPolicy
+from repro.core.pipeline import MFPA
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import get_registry, set_current_run
 from repro.obs.manifest import start_run
@@ -31,11 +35,25 @@ from repro.parallel.calibration import (
     get_cost_model,
     set_serial_fallback_mode,
 )
+from repro.scale import ShardedFleetMonitor, write_dataset_sharded
+
+from tests.scale.conftest import cheap_config
 
 pytestmark = [
     pytest.mark.smoke,
     pytest.mark.skipif(not fork_available(), reason="requires fork"),
 ]
+
+
+@pytest.fixture(scope="module")
+def four_shard_store(small_fleet, tmp_path_factory):
+    root = tmp_path_factory.mktemp("pool-store") / "store"
+    return write_dataset_sharded(small_fleet, root, n_shards=4)
+
+
+@pytest.fixture(scope="module")
+def fitted_model(small_fleet):
+    return MFPA(cheap_config()).fit(small_fleet, train_end_day=240)
 
 
 def _square(x):
@@ -90,21 +108,29 @@ class TestPoolReuse:
         assert pool_manager.pool_stats()["live"]
         np.testing.assert_array_equal(serial, fit(2))
 
-    def test_monitor_bit_identical_across_pool_reuse(self, small_fleet):
-        def run(n_jobs):
-            summary = simulate_operation(
-                small_fleet,
-                start_day=240,
-                end_day=320,
-                window_days=40,
+    def test_monitor_bit_identical_across_pool_reuse(
+        self, four_shard_store, fitted_model, tmp_path
+    ):
+        def run(n_jobs, checkpoint_dir=None):
+            monitor = ShardedFleetMonitor(
+                four_shard_store,
+                policy=RetrainPolicy(interval_days=10_000),
                 n_jobs=n_jobs,
+            )
+            monitor.use_model(fitted_model, train_end_day=240)
+            summary = monitor.run(
+                240, 320, window_days=40, checkpoint_dir=checkpoint_dir
             )
             return summary.alarm_records(), summary.lead_times
 
         serial = run(1)
-        # Every window of both parallel runs shares one pool.
-        assert run(2) == serial
-        assert run(2) == serial
+        forks = _counter("parallel_pool_forks_total")
+        reuses = _counter("parallel_pool_reuses_total")
+        # Checkpointing scores the four shards in groups of two: the
+        # second group rides the pool the first one forked.
+        assert run(2, checkpoint_dir=tmp_path / "ckpt") == serial
+        assert _counter("parallel_pool_forks_total") - forks == 1
+        assert _counter("parallel_pool_reuses_total") - reuses == 1
 
 
 class TestWorkerDeathRecovery:
@@ -147,19 +173,14 @@ class TestGenerationSafety:
         assert results == [45.0, 45.0]
         assert _counter("parallel_pool_restarts_total") - restarts == 1
 
-    def test_resharing_same_object_reuses_pool(self):
-        executor = ParallelExecutor(2)
+    def test_exit_releases_the_payload(self):
         payload = np.arange(20.0)
+        alive = weakref.ref(payload)
         with share(payload) as handle:
-            executor.starmap(_payload_total, [(handle,), (handle,)])
-        restarts = _counter("parallel_pool_restarts_total")
-        reuses = _counter("parallel_pool_reuses_total")
-        # The monitor's per-window pattern: share the same object again.
-        with share(payload) as handle:
-            results = executor.starmap(_payload_total, [(handle,), (handle,)])
-        assert results == [190.0, 190.0]
-        assert _counter("parallel_pool_restarts_total") - restarts == 0
-        assert _counter("parallel_pool_reuses_total") - reuses == 1
+            assert handle.get() is payload
+        del payload
+        gc.collect()
+        assert alive() is None
 
 
 class TestCalibratedFallback:

@@ -1,17 +1,14 @@
-"""Shared fixtures for the out-of-core (scale) tests.
+"""Shared helpers for the out-of-core (scale) tests.
 
-The sharded fixtures reuse the session-scoped ``small_fleet`` so the
-suite pays for one fleet simulation; the shard store is written once
-per session and treated read-only.
+The session-scoped ``shard_store`` (the ``small_fleet`` as a 3-shard
+store, written once and treated read-only) lives in the top-level
+conftest, where the parallel tests share it.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.pipeline import MFPAConfig
 from repro.ml.forest import RandomForestClassifier
-from repro.scale import write_dataset_sharded
 
 
 def cheap_config(**overrides) -> MFPAConfig:
@@ -20,10 +17,3 @@ def cheap_config(**overrides) -> MFPAConfig:
         algorithm=RandomForestClassifier(n_estimators=8, max_depth=6, seed=0),
         **overrides,
     )
-
-
-@pytest.fixture(scope="session")
-def shard_store(small_fleet, tmp_path_factory):
-    """The small fleet written as a 3-shard store (read-only)."""
-    root = tmp_path_factory.mktemp("scale-store") / "store"
-    return write_dataset_sharded(small_fleet, root, n_shards=3)

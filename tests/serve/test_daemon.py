@@ -1,6 +1,7 @@
 """ServeDaemon end-to-end: batch parity, kill/resume, degraded routing,
 breaker fallback, and typed checkpoint-corruption errors."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -9,8 +10,6 @@ import numpy as np
 import pytest
 
 from repro.obs import get_registry
-from repro.parallel import shutdown_pool
-from repro.parallel.calibration import set_serial_fallback_mode
 from repro.robustness.checkpoint import CheckpointCorruptError, write_manifest
 from repro.serve import SERVE_FILES, GatePolicy, ServeConfig, ServeDaemon, replay_into
 from repro.serve.retry import RetryPolicy
@@ -93,32 +92,6 @@ class TestBatchParity:
         assert summary["degraded_windows"] == 0
         assert summary["watermark"] == END
 
-    def test_parallel_scoring_bit_identical_to_serial(
-        self, serve_models, serve_readings, monkeypatch
-    ):
-        """``ServeConfig.n_jobs`` must never change an alarm: the
-        parallel path chunks the same matrix through the same fitted
-        predictor."""
-        monkeypatch.setenv("REPRO_PARALLEL_OVERSUBSCRIBE", "1")
-        set_serial_fallback_mode("never")
-        full, reduced = serve_models
-        readings = _subset(serve_readings, 30)
-        try:
-            def run(n_jobs):
-                config = ServeConfig(
-                    serve_start_day=SERVE_START, window_days=WINDOW,
-                    end_day=END, n_jobs=n_jobs,
-                )
-                daemon = ServeDaemon.from_models(full, reduced, config)
-                summary = replay_into(daemon, readings, end_day=END)
-                return daemon.alarm_records(), summary["windows"]
-
-            serial = run(1)
-            assert run(2) == serial
-        finally:
-            set_serial_fallback_mode("auto")
-            shutdown_pool()
-
 
 class TestKillResume:
     def test_resume_equals_uninterrupted(
@@ -153,6 +126,33 @@ class TestKillResume:
         # the crash, no lost alarms
         lines = sink.read_text().splitlines()
         assert len(lines) == len(resumed.alarms.alarmed)
+
+    def test_resume_from_a_config_with_an_n_jobs_field(
+        self, serve_models, serve_readings, serve_config, tmp_path
+    ):
+        """Checkpoints written while ``ServeConfig`` still had an
+        ``n_jobs`` field pickle it in the config's ``__dict__``; they
+        resume, and the resumed run's alarms are the uninterrupted
+        run's."""
+        full, reduced = serve_models
+        readings = _subset(serve_readings, 40)
+        reference = ServeDaemon.from_models(full, reduced, serve_config)
+        replay_into(reference, readings, end_day=END)
+
+        legacy = dataclasses.replace(serve_config)
+        object.__setattr__(legacy, "n_jobs", 2)
+        killed = ServeDaemon.from_models(
+            full, reduced, legacy, checkpoint_dir=tmp_path / "ckpt"
+        )
+        _feed(killed, readings, stop_day=SERVE_START + WINDOW + 1)
+
+        resumed = ServeDaemon.resume(tmp_path / "ckpt")
+        assert resumed.config.n_jobs == 2
+        replay_into(
+            resumed, readings, end_day=END, min_day=resumed.watermark
+        )
+        assert resumed.alarm_records() == reference.alarm_records()
+        assert resumed.windows == reference.windows
 
     @pytest.mark.parametrize(
         "after_manifest", [False, True], ids=["before-manifest", "after-manifest"]

@@ -44,9 +44,15 @@ class TestParser:
 
     def test_n_jobs_flag_on_parallel_subcommands(self):
         assert build_parser().parse_args(["train", "d"]).n_jobs == 1
-        for command in ("train", "monitor", "chaos"):
+        for command in ("train", "monitor"):
             args = build_parser().parse_args([command, "d", "--n-jobs", "4"])
             assert args.n_jobs == 4
+        for argv in (
+            ["serve", "d", "--input", "s.jsonl", "--n-jobs", "4"],
+            ["chaos", "d", "--n-jobs", "4"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_split_algorithm_flag_on_training_subcommands(self):
         assert build_parser().parse_args(["train", "d"]).split_algorithm == "exact"
