@@ -577,6 +577,22 @@ def _load(args: argparse.Namespace):
     return dataset
 
 
+def _sharded_store(args: argparse.Namespace):
+    """The store at ``args.dataset`` when it has more than one shard,
+    else ``None``: a one-shard store (what ``save_dataset`` writes) must
+    fit in RAM to load at all, so it takes the in-RAM path via
+    :func:`_load`."""
+    from repro.scale.store import ShardedDataset, is_shard_store
+
+    if not is_shard_store(args.dataset):
+        return None
+    store = ShardedDataset(args.dataset)
+    if store.n_shards == 1:
+        return None
+    annotate_run(dataset_fingerprint=store.fleet_fingerprint)
+    return store
+
+
 def _format_lead_time(summary) -> str:
     """Explicit empty-alarms guard: "n/a", never a printed NaN."""
     if not summary.has_lead_times:
@@ -585,8 +601,6 @@ def _format_lead_time(summary) -> str:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.scale import is_shard_store
-
     config = MFPAConfig(
         feature_group_name=args.feature_group,
         theta=args.theta,
@@ -600,11 +614,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     annotate_run(
         config_hash=config_hash(config), seed=config.seed, n_jobs=args.n_jobs
     )
-    if is_shard_store(args.dataset):
-        from repro.scale import ShardedDataset, evaluate_sharded, fit_sharded
+    store = _sharded_store(args)
+    if store is not None:
+        from repro.scale import evaluate_sharded, fit_sharded
 
-        store = ShardedDataset(args.dataset)
-        annotate_run(dataset_fingerprint=store.fleet_fingerprint)
         model = fit_sharded(
             store,
             config,
@@ -691,17 +704,15 @@ def _monitor_config(args: argparse.Namespace) -> MFPAConfig | None:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.scale import is_shard_store
-
     annotate_run(n_jobs=args.n_jobs, split_algorithm=args.split_algorithm)
     obs_server, obs_textfile = _start_obs_endpoint(args)
     try:
-        return _run_monitor(args, is_shard_store)
+        return _run_monitor(args)
     finally:
         _stop_obs_endpoint(obs_server, obs_textfile)
 
 
-def _run_monitor(args: argparse.Namespace, is_shard_store) -> int:
+def _run_monitor(args: argparse.Namespace) -> int:
     initial_model = None
     if getattr(args, "model_artifact", None):
         from repro.ml.artifact import load_model
@@ -714,16 +725,15 @@ def _run_monitor(args: argparse.Namespace, is_shard_store) -> int:
                 "the loaded model's feature group is fixed"
             )
         log.info(f"initial model loaded from {args.model_artifact} — no fit")
-    if is_shard_store(args.dataset):
-        from repro.scale import ShardedDataset, ShardedFleetMonitor
+    store = _sharded_store(args)
+    if store is not None:
+        from repro.scale import ShardedFleetMonitor
 
         if args.allow_degraded:
             raise SystemExit(
-                "--allow-degraded is not supported on a shard store; "
+                "--allow-degraded is not supported on a multi-shard store; "
                 "run the in-RAM monitor instead"
             )
-        store = ShardedDataset(args.dataset)
-        annotate_run(dataset_fingerprint=store.fleet_fingerprint)
         monitor = ShardedFleetMonitor(
             store,
             config=_monitor_config(args),
@@ -1133,8 +1143,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
         return 0
 
     # save: fit on the fleet, then persist the versioned artifact.
-    from repro.scale import is_shard_store
-
     config = MFPAConfig(
         feature_group_name=args.feature_group,
         n_jobs=args.n_jobs,
@@ -1144,11 +1152,10 @@ def _cmd_model(args: argparse.Namespace) -> int:
     annotate_run(config_hash=config_hash(config), n_jobs=args.n_jobs)
     profile = None
     dataset = None
-    if is_shard_store(args.dataset):
-        from repro.scale import ShardedDataset, fit_sharded
+    store = _sharded_store(args)
+    if store is not None:
+        from repro.scale import fit_sharded
 
-        store = ShardedDataset(args.dataset)
-        annotate_run(dataset_fingerprint=store.fleet_fingerprint)
         model = fit_sharded(
             store, config, train_end_day=args.train_end_day, sanitize=args.sanitize
         )

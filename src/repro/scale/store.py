@@ -146,9 +146,8 @@ def _pack_shard(dataset: TelemetryDataset, vocab: _Vocab) -> dict[str, np.ndarra
             arrays[f"col_code_{name}"] = vocab.encode(name, values)
         else:
             arrays[f"col_{name}"] = values
-    serials = sorted(dataset.drives)
-    metas = [dataset.drives[s] for s in serials]
-    arrays["meta_serial"] = np.asarray(serials, dtype=np.int64)
+    metas = list(dataset.drives.values())
+    arrays["meta_serial"] = np.asarray(list(dataset.drives), dtype=np.int64)
     arrays["meta_vendor"] = vocab.encode("vendor", [m.vendor for m in metas])
     arrays["meta_model_id"] = vocab.encode("model", [m.model_id for m in metas])
     arrays["meta_capacity_gb"] = np.asarray(
@@ -162,7 +161,7 @@ def _pack_shard(dataset: TelemetryDataset, vocab: _Vocab) -> dict[str, np.ndarra
         [_NO_FAILURE if m.failure_day is None else m.failure_day for m in metas],
         dtype=np.int64,
     )
-    tickets = sorted(dataset.tickets, key=lambda t: t.serial)
+    tickets = dataset.tickets
     arrays["ticket_serial"] = np.asarray(
         [t.serial for t in tickets], dtype=np.int64
     )
@@ -232,7 +231,9 @@ class ShardWriter:
     in-RAM splitter both do) so that serial → shard lookups can binary-
     search the manifest. :meth:`close` commits the manifest atomically —
     a crash mid-write leaves no manifest, and the store reads as absent
-    rather than as a silently truncated fleet.
+    rather than as a silently truncated fleet. Writing over a committed
+    store removes its manifest before the first shard lands, so an
+    interrupted overwrite reads as absent too.
     """
 
     def __init__(self, root: str | Path, compress: bool = False):
@@ -252,6 +253,8 @@ class ShardWriter:
                 "shards must arrive in ascending, non-overlapping serial order"
             )
         index = len(self._shards)
+        if index == 0:
+            (self.root / MANIFEST_NAME).unlink(missing_ok=True)
         filename = f"shard_{index:04d}.npz"
         path = self.root / filename
         arrays = _pack_shard(dataset, self._vocab)
@@ -403,26 +406,24 @@ def write_dataset_sharded(
     """Split an in-RAM dataset into contiguous serial partitions on disk.
 
     The parity-test workhorse: the same fleet can be run through the
-    in-RAM and sharded paths and compared drive-for-drive.
+    in-RAM and sharded paths and compared drive-for-drive. One shard
+    stores the dataset as it stands (the layout of
+    :func:`repro.telemetry.io.save_dataset`): rows, drive table and
+    tickets in their own order, unvalidated.
     """
     serials = np.sort(dataset.serials)
     if not 1 <= n_shards <= serials.size:
         raise ValueError(f"n_shards must be in [1, {serials.size}]")
     writer = ShardWriter(root, compress=compress)
+    if n_shards == 1:
+        writer.add_shard(dataset)
+        return writer.close(extra=extra)
     for group in np.array_split(serials, n_shards):
-        mask = np.isin(dataset.columns["serial"], group)
-        shard = dataset.select_rows(mask)
+        shard = dataset.select_rows(np.isin(dataset.columns["serial"], group))
         # select_rows keeps only serials that still have rows; carry the
         # partition's zero-row drives (and their tickets) across too so
         # the sharded fleet's drive table matches the in-RAM one.
-        for serial in group:
-            if int(serial) not in shard.drives:
-                shard.drives[int(serial)] = dataset.drives[int(serial)]
-        present = set(int(s) for s in group)
-        listed = set(t.serial for t in shard.tickets)
-        shard.tickets.extend(
-            t for t in dataset.tickets
-            if t.serial in present and t.serial not in listed
-        )
+        shard.drives = {s: dataset.drives[s] for s in group.tolist()}
+        shard.tickets = [t for t in dataset.tickets if t.serial in shard.drives]
         writer.add_shard(shard)
     return writer.close(extra=extra)

@@ -537,9 +537,15 @@ class ServeDaemon:
             self.alarms.open_window()
             window_alarms: list[dict] = []
             decided_at = self._clock()
+            # decide() rejects below-threshold readings itself; the
+            # complement keeps its NaN handling for the rest.
+            candidates = np.flatnonzero(
+                ~(probabilities < self.alarms.threshold)
+            )
             for serial, day, staged, probability in zip(
-                serials.tolist(), days.tolist(), staged_at.tolist(),
-                probabilities.tolist(),
+                serials[candidates].tolist(), days[candidates].tolist(),
+                staged_at[candidates].tolist(),
+                probabilities[candidates].tolist(),
             ):
                 if self.alarms.decide(
                     serial, day, probability,

@@ -1,82 +1,62 @@
-"""Dataset persistence: save/load fleets to a portable on-disk format.
+"""Dataset persistence: a saved fleet is a one-shard store.
 
 A simulated fleet is expensive relative to model training, and real
 deployments would ingest telemetry from collectors rather than
-resimulate. The format is a directory with:
+resimulate. :func:`save_dataset` writes the fleet as a one-shard
+:mod:`repro.scale.store` directory — ``shard_0000.npz`` (uncompressed
+columns, string columns as vocabulary codes, the drive table and the
+trouble tickets) under a sha256 ``manifest.json`` — so a saved fleet
+and a sharded store are one format that differs only in shard count.
+:func:`load_dataset` reads any store; a store with several shards
+loads as their concatenation.
 
-* ``columns.npz``  — every numeric column (numpy compressed),
-* ``strings.json`` — the object-dtype columns (firmware/vendor/model),
-* ``drives.json``  — the per-drive metadata table,
-* ``tickets.json`` — the RaSRF trouble tickets.
+Directories written in the earlier layout (``columns.npz``,
+``strings.json``, ``drives.json``, ``tickets.json``) still load; that
+layout is read-only.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 
+from repro.scale.store import ShardedDataset, is_shard_store, write_dataset_sharded
 from repro.telemetry.dataset import DriveMeta, TelemetryDataset
 from repro.telemetry.tickets import TroubleTicket
 
-_STRING_COLUMNS = ("firmware", "vendor", "model")
+#: Version of the read-only earlier layout's ``strings.json``.
 FORMAT_VERSION = 1
 
 
 def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
-    """Write a dataset to ``directory`` (created if needed)."""
-    from repro.robustness.checkpoint import atomic_write
-
+    """Write a dataset to ``directory`` (created if needed) as a
+    one-shard store; rows, drives and tickets keep their order."""
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-
-    numeric = {
-        name: values
-        for name, values in dataset.columns.items()
-        if name not in _STRING_COLUMNS
-    }
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **numeric)
-    atomic_write(path / "columns.npz", buffer.getvalue())
-
-    strings = {
-        name: dataset.columns[name].tolist()
-        for name in _STRING_COLUMNS
-        if name in dataset.columns
-    }
-    atomic_write(
-        path / "strings.json",
-        json.dumps({"version": FORMAT_VERSION, **strings}).encode(),
-    )
-
-    drives = [
-        {
-            "serial": meta.serial,
-            "vendor": meta.vendor,
-            "model_id": meta.model_id,
-            "capacity_gb": meta.capacity_gb,
-            "firmware": meta.firmware,
-            "archetype": meta.archetype,
-            "failure_day": meta.failure_day,
-        }
-        for meta in dataset.drives.values()
-    ]
-    atomic_write(path / "drives.json", json.dumps(drives).encode())
-
-    tickets = [
-        {
-            "serial": ticket.serial,
-            "initial_maintenance_time": ticket.initial_maintenance_time,
-            "failure_level": ticket.failure_level,
-            "category": ticket.category,
-            "cause": ticket.cause,
-        }
-        for ticket in dataset.tickets
-    ]
-    atomic_write(path / "tickets.json", json.dumps(tickets).encode())
+    write_dataset_sharded(dataset, path, 1)
     return path
+
+
+def _load_legacy(path: Path) -> TelemetryDataset:
+    """Read the earlier four-file layout."""
+    with np.load(path / "columns.npz") as archive:
+        columns: dict[str, np.ndarray] = {name: archive[name] for name in archive.files}
+    strings = json.loads((path / "strings.json").read_text())
+    version = strings.pop("version", None)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported dataset format version {version!r}")
+    for name, values in strings.items():
+        columns[name] = np.array(values, dtype=object)
+    drives = {
+        entry["serial"]: DriveMeta(**entry)
+        for entry in json.loads((path / "drives.json").read_text())
+    }
+    tickets = [
+        TroubleTicket(**entry)
+        for entry in json.loads((path / "tickets.json").read_text())
+    ]
+    return TelemetryDataset(columns, drives, tickets)
 
 
 def load_dataset(
@@ -84,7 +64,9 @@ def load_dataset(
     validate: bool = False,
     sanitize: bool = False,
 ) -> TelemetryDataset:
-    """Read a dataset previously written by :func:`save_dataset`.
+    """Read a dataset previously written by :func:`save_dataset`, any
+    shard store (shards concatenated in order), or a directory in the
+    earlier layout.
 
     Persistence trusts the directory contents blindly by default; pass
     ``validate=True`` to run
@@ -96,42 +78,14 @@ def load_dataset(
     checks its output.
     """
     path = Path(directory)
-    if not (path / "columns.npz").exists():
+    if is_shard_store(path):
+        store = ShardedDataset(path)
+        shards = [dataset for _, dataset in store.iter_shards()]
+        dataset = shards[0] if len(shards) == 1 else TelemetryDataset.concat(shards)
+    elif (path / "columns.npz").exists():
+        dataset = _load_legacy(path)
+    else:
         raise FileNotFoundError(f"{path} does not contain a saved dataset")
-
-    with np.load(path / "columns.npz") as archive:
-        columns: dict[str, np.ndarray] = {name: archive[name] for name in archive.files}
-
-    strings = json.loads((path / "strings.json").read_text())
-    version = strings.pop("version", None)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {version!r}")
-    for name, values in strings.items():
-        columns[name] = np.array(values, dtype=object)
-
-    drives = {}
-    for entry in json.loads((path / "drives.json").read_text()):
-        drives[entry["serial"]] = DriveMeta(
-            serial=entry["serial"],
-            vendor=entry["vendor"],
-            model_id=entry["model_id"],
-            capacity_gb=entry["capacity_gb"],
-            firmware=entry["firmware"],
-            archetype=entry["archetype"],
-            failure_day=entry["failure_day"],
-        )
-
-    tickets = [
-        TroubleTicket(
-            serial=entry["serial"],
-            initial_maintenance_time=entry["initial_maintenance_time"],
-            failure_level=entry["failure_level"],
-            category=entry["category"],
-            cause=entry["cause"],
-        )
-        for entry in json.loads((path / "tickets.json").read_text())
-    ]
-    dataset = TelemetryDataset(columns, drives, tickets)
 
     if sanitize:
         from repro.robustness.quarantine import sanitize_dataset

@@ -134,3 +134,35 @@ class TestShardedMonitor:
         # the identical summary.
         assert main([*arguments, "--resume"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestStreamCommandsReadStores:
+    """``replay`` and ``serve`` load a multi-shard store as one fleet."""
+
+    def test_replay_and_serve_match_the_in_ram_fleet(
+        self, small_fleet, shard_store, tmp_path
+    ):
+        from repro.telemetry.io import save_dataset
+
+        saved = save_dataset(small_fleet, tmp_path / "fleet")
+        alarms = {}
+        for name, dataset in (("store", shard_store.root), ("fleet", saved)):
+            stream = tmp_path / f"{name}.jsonl"
+            assert main(["replay", str(dataset), str(stream), "--end-day", "300"]) == 0
+            sink = tmp_path / f"{name}-alarms.jsonl"
+            assert main(
+                [
+                    "serve", str(dataset),
+                    "--input", str(stream),
+                    "--serve-start-day", "240",
+                    "--end-day", "300",
+                    "--alarm-threshold", "0.3",
+                    "--alarms-out", str(sink),
+                ]
+            ) == 0
+            alarms[name] = sink.read_text()
+        assert (tmp_path / "store.jsonl").read_bytes() == (
+            tmp_path / "fleet.jsonl"
+        ).read_bytes()
+        assert alarms["store"] == alarms["fleet"]
+        assert alarms["store"].count("\n") > 0

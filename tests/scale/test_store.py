@@ -103,6 +103,13 @@ class TestDetection:
         assert not is_shard_store(tmp_path)
         assert not is_shard_store(tmp_path / "does-not-exist")
 
+    def test_interrupted_overwrite_reads_as_absent(self, small_fleet, tmp_path):
+        """A writer over a committed store that stops after one shard
+        leaves no manifest to vouch for the shard it rewrote."""
+        store = write_dataset_sharded(small_fleet, tmp_path / "s", n_shards=2)
+        ShardWriter(store.root).add_shard(small_fleet)  # never closed
+        assert not is_shard_store(store.root)
+
 
 class TestErrors:
     def test_missing_manifest_raises(self, tmp_path):

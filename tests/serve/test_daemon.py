@@ -93,6 +93,77 @@ class TestBatchParity:
         assert summary["watermark"] == END
 
 
+class TestDecideCandidates:
+    def test_decide_sees_only_readings_at_threshold(
+        self, serve_models, serve_readings, serve_config, monkeypatch
+    ):
+        """A window flush hands ``AlarmStream.decide`` only the staged
+        readings at or above the threshold. The ledger, the dedup and
+        rate-budget counters and the latency observations equal a
+        decide over every staged reading in staged order."""
+        from repro.serve.alarms import AlarmStream
+
+        full, reduced = serve_models
+        config = dataclasses.replace(
+            serve_config, alarm_threshold=0.2, max_alarms_per_window=2
+        )
+        staged = {}  # window_start -> (serials, days, probabilities, degraded)
+        real_score = ServeDaemon._score_staged
+
+        def recording_score(self, rows, degraded_route):
+            probabilities, used_reduced = real_score(self, rows, degraded_route)
+            serials, days, _, _ = self._staged.arrays()
+            staged[self.window_start] = (serials, days, probabilities, used_reduced)
+            return probabilities, used_reduced
+
+        calls = 0
+        real_decide = AlarmStream.decide
+
+        def counting_decide(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_decide(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServeDaemon, "_score_staged", recording_score)
+        monkeypatch.setattr(AlarmStream, "decide", counting_decide)
+        daemon = ServeDaemon.from_models(full, reduced, config)
+        replay_into(daemon, serve_readings, end_day=END)
+        names = ("serve_alarms_deduped_total", "serve_alarms_suppressed_total")
+        served = {name: _counter(name) for name in names}
+        latencies = [
+            int(family["samples"][0]["count"])
+            for family in get_registry().dump()
+            if family["name"] == "serve_e2e_latency_seconds"
+        ]
+
+        monkeypatch.undo()
+        get_registry().reset()
+        oracle = AlarmStream(threshold=0.2, max_per_window=2)
+        n_staged = 0
+        for window_start in sorted(staged):
+            serials, days, probabilities, degraded = staged[window_start]
+            oracle.open_window()
+            for serial, day, probability in zip(
+                serials.tolist(), days.tolist(), probabilities.tolist()
+            ):
+                oracle.decide(
+                    serial, day, probability,
+                    window_start=window_start, degraded=degraded,
+                )
+                n_staged += 1
+
+        assert daemon.alarms.ledger == oracle.ledger
+        assert served == {name: _counter(name) for name in names}
+        assert served["serve_alarms_deduped_total"] > 0
+        assert served["serve_alarms_suppressed_total"] > 0
+        assert latencies == [len(oracle.ledger)]
+        above = sum(
+            int(np.count_nonzero(~(probabilities < 0.2)))
+            for _, _, probabilities, _ in staged.values()
+        )
+        assert calls == above < n_staged
+
+
 class TestKillResume:
     def test_resume_equals_uninterrupted(
         self, serve_models, serve_readings, serve_config, tmp_path

@@ -1,11 +1,52 @@
 """Unit tests for dataset persistence (save/load roundtrip)."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.obs.manifest import dataset_fingerprint
+from repro.scale.store import (
+    ShardedDataset,
+    ShardManifestError,
+    is_shard_store,
+)
+from repro.telemetry.dataset import TelemetryDataset
 from repro.telemetry.io import FORMAT_VERSION, load_dataset, save_dataset
+
+#: A 20-drive, 45-day fleet (``FleetConfig(mix=VendorMix({"I": 20}),
+#: horizon_days=45, failure_boost=100.0, seed=11)``) saved in the
+#: earlier four-file layout (``columns.npz``, ``strings.json``,
+#: ``drives.json``, ``tickets.json``) by the writer that produced it.
+LEGACY_FLEET = Path(__file__).parent / "data" / "legacy_fleet"
+LEGACY_FINGERPRINT = "7ef2e37d480fa521"
+
+
+def _legacy_copy(tmp_path) -> Path:
+    return Path(shutil.copytree(LEGACY_FLEET, tmp_path / "legacy"))
+
+
+def _without_first_drive(dataset):
+    """The dataset with its first drive's metadata gone: its rows stay."""
+    drives = dict(dataset.drives)
+    dropped = next(iter(drives))
+    del drives[dropped]
+    return TelemetryDataset(dataset.columns, drives, dataset.tickets), dropped
+
+
+def _assert_same(loaded, expected):
+    assert list(loaded.columns) == list(expected.columns)
+    for name, values in expected.columns.items():
+        assert loaded.columns[name].dtype == values.dtype
+        if values.dtype == object:
+            assert loaded.columns[name].tolist() == values.tolist()
+        else:
+            np.testing.assert_array_equal(loaded.columns[name], values)
+    assert list(loaded.drives.items()) == list(expected.drives.items())
+    assert loaded.tickets == expected.tickets
+    assert dataset_fingerprint(loaded) == dataset_fingerprint(expected)
 
 
 class TestRoundtrip:
@@ -31,6 +72,38 @@ class TestRoundtrip:
         loaded = load_dataset(tmp_path / "fleet")
         assert loaded.tickets == small_fleet.tickets
 
+    def test_a_saved_dataset_is_a_one_shard_store(self, small_fleet, tmp_path):
+        path = save_dataset(small_fleet, tmp_path / "fleet")
+        assert is_shard_store(path)
+        store = ShardedDataset(path)
+        assert store.n_shards == 1
+        assert store.n_rows == small_fleet.n_records
+        assert store.shards[0].fingerprint == dataset_fingerprint(small_fleet)
+        _assert_same(load_dataset(path), small_fleet)
+
+    def test_order_of_drives_and_tickets_kept(self, small_fleet, tmp_path):
+        """Tickets and the drive table come back in the order they were
+        saved in, not sorted by serial."""
+        shuffled = TelemetryDataset(
+            small_fleet.columns,
+            dict(reversed(small_fleet.drives.items())),
+            list(reversed(small_fleet.tickets)),
+        )
+        serials = [t.serial for t in shuffled.tickets]
+        assert serials != sorted(serials)
+        loaded = load_dataset(save_dataset(shuffled, tmp_path / "fleet"))
+        _assert_same(loaded, shuffled)
+        assert [t.serial for t in loaded.tickets] == serials
+
+    def test_multi_shard_store_loads_as_one_dataset(self, small_fleet, shard_store):
+        assert shard_store.n_shards == 3
+        _assert_same(load_dataset(shard_store.root), small_fleet)
+
+    def test_save_overwrites_a_saved_dataset(self, small_fleet, mixed_fleet, tmp_path):
+        save_dataset(mixed_fleet, tmp_path / "fleet")
+        path = save_dataset(small_fleet, tmp_path / "fleet")
+        _assert_same(load_dataset(path), small_fleet)
+
     def test_loaded_dataset_trains(self, small_fleet, tmp_path):
         from repro.core import MFPA, MFPAConfig
 
@@ -47,17 +120,68 @@ class TestErrors:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
 
-    def test_version_check(self, small_fleet, tmp_path):
-        path = save_dataset(small_fleet, tmp_path / "fleet")
+    def test_version_check(self, tmp_path):
+        path = _legacy_copy(tmp_path)
         strings = json.loads((path / "strings.json").read_text())
         strings["version"] = FORMAT_VERSION + 999
         (path / "strings.json").write_text(json.dumps(strings))
         with pytest.raises(ValueError, match="format version"):
             load_dataset(path)
 
+    def test_store_version_check(self, small_fleet, tmp_path):
+        path = save_dataset(small_fleet, tmp_path / "fleet")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] += 999
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ShardManifestError, match="format_version"):
+            load_dataset(path)
+
     def test_save_creates_nested_directories(self, small_fleet, tmp_path):
         path = save_dataset(small_fleet, tmp_path / "a" / "b" / "fleet")
-        assert (path / "columns.npz").exists()
+        assert (path / "manifest.json").exists()
+        assert (path / "shard_0000.npz").exists()
+
+
+class TestLegacyLayout:
+    """Directories in the earlier four-file layout still load."""
+
+    def test_loads_the_committed_fixture(self):
+        loaded = load_dataset(LEGACY_FLEET)
+        assert dataset_fingerprint(loaded) == LEGACY_FINGERPRINT
+        assert loaded.n_drives == 20
+        assert loaded.n_records == 310
+        assert sorted(loaded.drives) == list(range(1, 21))
+        assert [t.serial for t in loaded.tickets] == [
+            1, 2, 3, 4, 7, 9, 11, 14, 15, 18, 19, 20,
+        ]
+        for name in ("firmware", "vendor", "model"):
+            assert loaded.columns[name].dtype == object
+        assert set(loaded.columns["vendor"].tolist()) == {"I"}
+        assert load_dataset(LEGACY_FLEET, validate=True).n_records == 310
+
+    def test_matches_the_fleet_it_was_written_from(self):
+        from repro.telemetry import FleetConfig, VendorMix, simulate_fleet
+
+        fleet = simulate_fleet(
+            FleetConfig(
+                mix=VendorMix({"I": 20}),
+                horizon_days=45,
+                failure_boost=100.0,
+                seed=11,
+            )
+        )
+        loaded = load_dataset(LEGACY_FLEET)
+        assert set(loaded.columns) == set(fleet.columns)
+        for name, values in fleet.columns.items():
+            assert loaded.columns[name].tolist() == values.tolist()
+        assert list(loaded.drives.items()) == list(fleet.drives.items())
+        assert loaded.tickets == fleet.tickets
+
+    def test_resaved_as_a_store_unchanged(self, tmp_path):
+        loaded = load_dataset(LEGACY_FLEET)
+        path = save_dataset(loaded, _legacy_copy(tmp_path))
+        assert is_shard_store(path)
+        _assert_same(load_dataset(path), loaded)
 
 
 class TestValidateOnLoad:
@@ -68,25 +192,22 @@ class TestValidateOnLoad:
 
     def test_corrupted_file_raises_clean_error(self, small_fleet, tmp_path):
         """Persistence no longer trusts directory contents blindly."""
-        path = save_dataset(small_fleet, tmp_path / "fleet")
-        drives = json.loads((path / "drives.json").read_text())
-        dropped = drives.pop(0)  # rows for this serial now lack metadata
-        (path / "drives.json").write_text(json.dumps(drives))
+        corrupted, dropped = _without_first_drive(small_fleet)
+        path = save_dataset(corrupted, tmp_path / "fleet")
 
         loaded = load_dataset(path)  # default: still trusting
-        assert dropped["serial"] not in loaded.drives
+        assert dropped not in loaded.drives
+        assert loaded.n_records == small_fleet.n_records
 
         with pytest.raises(ValueError, match="fails validation"):
             load_dataset(path, validate=True)
 
     def test_sanitize_on_load_repairs(self, small_fleet, tmp_path):
-        path = save_dataset(small_fleet, tmp_path / "fleet")
-        drives = json.loads((path / "drives.json").read_text())
-        removed = drives.pop(0)
-        (path / "drives.json").write_text(json.dumps(drives))
+        corrupted, removed = _without_first_drive(small_fleet)
+        path = save_dataset(corrupted, tmp_path / "fleet")
 
         loaded = load_dataset(path, sanitize=True, validate=True)
-        assert removed["serial"] not in loaded.drives
+        assert removed not in loaded.drives
         assert loaded.n_records < small_fleet.n_records
 
 

@@ -71,6 +71,11 @@ class TestSimulate:
         assert dataset.n_drives == 120
         assert all(m.vendor == "I" for m in dataset.drives.values())
 
+    def test_writes_a_one_shard_store(self, saved_fleet):
+        from repro.scale.store import ShardedDataset
+
+        assert ShardedDataset(saved_fleet).n_shards == 1
+
     def test_bad_vendor_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", str(tmp_path / "x"), "--vendor", "Z=10"])
@@ -187,6 +192,33 @@ class TestMonitor:
                     "0",
                 ]
             )
+
+
+class TestOneShardStoreRunsInRam:
+    """A saved fleet is a one-shard store, and the commands that branch
+    on a store load it into RAM like any fleet."""
+
+    def test_model_save_keeps_the_reference_profile(
+        self, saved_fleet, tmp_path, capsys
+    ):
+        from repro.ml.artifact import load_reference_profile
+
+        artifact = tmp_path / "artifact"
+        code = main(
+            ["model", "save", str(saved_fleet), str(artifact),
+             "--train-end-day", "120"]
+        )
+        assert code == 0
+        assert "profile yes" in capsys.readouterr().out
+        assert load_reference_profile(artifact) is not None
+
+    def test_monitor_allow_degraded_runs(self, saved_fleet, capsys):
+        code = main(
+            ["monitor", str(saved_fleet), "--start-day", "120",
+             "--end-day", "200", "--window-days", "40", "--allow-degraded"]
+        )
+        assert code == 0
+        assert "Monitored operation" in capsys.readouterr().out
 
 
 class TestValidationFlags:

@@ -68,7 +68,8 @@ RAW_WRITE_ALLOWLIST = {
     (Path("robustness/checkpoint.py"), "atomic_write"):
         "the atomic write itself: temp file, fsync, rename",
     (Path("scale/store.py"), "ShardWriter.add_shard"):
-        "streams a shard that only the store manifest commits",
+        "streams a shard that only the store manifest commits; an existing "
+        "manifest is removed before the first shard write",
     (Path("serve/alarms.py"), "AlarmStream.emit_pending"):
         "append-only alarm sink, rebuilt by reconcile_sink on resume",
     (Path("obs/server.py"), "TextfileExporter.write_once"):
