@@ -116,12 +116,17 @@ class FeatureAssembler:
         dataset_columns: dict[str, np.ndarray],
         row_indices: np.ndarray,
     ) -> np.ndarray:
-        """Build the matrix for the given rows.
+        """Build the ``(rows, features)`` matrix for the given rows.
 
         ``dataset_columns`` must contain ``serial`` and be sorted by
         (serial, day) — the invariant :class:`TelemetryDataset`
         maintains — so a drive's history is the contiguous run of rows
         preceding each index.
+
+        The matrix is column-major (Fortran order): it is the transpose
+        of a C-contiguous ``(features, rows)`` block, one contiguous row
+        per feature, which is the layout
+        :meth:`repro.ml.arena.ForestArena.encode` reads without a copy.
         """
         row_indices = np.asarray(row_indices)
         missing = [c for c in self.columns if c not in dataset_columns]
@@ -145,8 +150,10 @@ class FeatureAssembler:
                 for offset in range(self.history_length - 1, -1, -1)
             ]
         # Gather only the requested rows, one column at a time, straight
-        # into the output: the fleet-wide matrix is never built.
-        X = np.empty((row_indices.shape[0], self.n_features))
-        for k, (rows, column) in enumerate(product(blocks, self.columns)):
-            X[:, k] = dataset_columns[column][rows]
-        return X
+        # into one contiguous row of a (features, rows) block: the
+        # fleet-wide matrix is never built, and the arena reads the
+        # block's transpose without another copy.
+        block = np.empty((self.n_features, row_indices.shape[0]))
+        for out, (rows, column) in zip(block, product(blocks, self.columns)):
+            out[...] = dataset_columns[column].take(rows)
+        return block.T

@@ -15,9 +15,11 @@ threshold, exactly the comparison the seed's per-tree loops make, just
 batched.  Inference-time NaN policy (see ``_Tree.predict_value``):
 ``NaN <= t`` is False, so missing values route RIGHT.
 
-Two walks read the same column-major ``(features, rows)`` input and
-return leaves as ``(trees, rows)``; :meth:`ForestArena.encode` lays a
-row batch out that way:
+Two walks read the same C-contiguous ``(features, rows)`` input and
+return leaves as ``(trees, rows)``.  :meth:`ForestArena.encode` gets
+that input from a ``(rows, features)`` batch: a column-major batch —
+what the feature assembler builds for a monitor window — is read as a
+view, a row-major one is copied once:
 
 * **lanes** (:meth:`ForestArena._descend`) — every ``(tree, row)`` lane
   steps one level per pass, for up to ``max_depth`` passes.  Cheapest
@@ -30,10 +32,11 @@ row batch out that way:
   as a monitor window.
 
 Both make exactly the comparisons of the per-tree loops, so they agree
-bit for bit.  Aggregation preserves the seed's float accumulation order
-(a sequential per-tree loop, never a pairwise ``np.sum`` over the tree
-axis) so ensemble probabilities — not just alarms — stay bit-identical
-at any walk and row chunking.
+bit for bit.  Aggregation gathers leaf values from one contiguous 1-D
+vector per output with ``take`` and preserves the seed's float
+accumulation order (a sequential per-tree loop, never a pairwise
+``np.sum`` over the tree axis), so ensemble probabilities — not just
+alarms — stay bit-identical at any walk, row chunking and input layout.
 """
 
 from __future__ import annotations
@@ -106,6 +109,9 @@ class ForestArena:
         #: comparison went — including the NaN-compares-False case.
         self.child = child
         self.values = values
+        #: ``values`` as one contiguous 1-D vector per output column, so
+        #: aggregation gathers leaf values with flat ``take`` calls.
+        self.output_values = np.ascontiguousarray(values.T)
         self.roots = roots
         self.n_features = int(n_features)
         self.max_depth = int(max_depth)
@@ -219,9 +225,12 @@ class ForestArena:
     def encode(self, X: np.ndarray) -> np.ndarray:
         """Lay a ``(rows, features)`` batch out as the walks' input.
 
-        Both walks read one feature's values across a row chunk, so the
-        batch is transposed to column-major ``(n_features, rows)``: each
-        column contiguous for the price of one copy.
+        Both walks read one feature's values across a row chunk, so they
+        take the C-contiguous ``(n_features, rows)`` transpose.  A
+        column-major batch — what
+        :meth:`repro.core.features.FeatureAssembler.assemble` returns —
+        already is one, and its transpose is a view; a row-major batch
+        pays one copy.
         """
         return np.ascontiguousarray(X.T)
 
@@ -385,26 +394,29 @@ class ForestArena:
     def predict_mean(self, X: np.ndarray) -> np.ndarray:
         """Forest-classifier aggregation: mean of aligned leaf values.
 
-        Accumulates tree-by-tree per row chunk — the same float
-        addition sequence as the seed's per-tree loop, so probabilities
-        are bit-identical.
+        Accumulates tree-by-tree per output column and row chunk — the
+        same float addition sequence as the seed's per-tree loop, so
+        probabilities are bit-identical.  Returns the transpose of an
+        ``(outputs, rows)`` block, so each output's column is contiguous.
         """
-        out = np.zeros((X.shape[0], self.values.shape[1]))
+        out = np.zeros((self.output_values.shape[0], X.shape[0]))
         for span, leaves in self._leaf_chunks(X):
-            aggregate = out[span]
-            for tree_leaves in leaves:
-                aggregate += self.values[tree_leaves]
-            aggregate /= self.n_trees
-        return out
+            block = out[:, span]
+            for aggregate, values in zip(block, self.output_values):
+                for tree_leaves in leaves:
+                    aggregate += values.take(tree_leaves)
+            block /= self.n_trees
+        return out.T
 
     def predict_raw(self, X: np.ndarray, initial_score: float,
                     learning_rate: float) -> np.ndarray:
         """GBDT aggregation: additive raw score in boosting order."""
         raw = np.full(X.shape[0], initial_score)
+        values = self.output_values[0]
         for span, leaves in self._leaf_chunks(X):
             segment = raw[span]
             for tree_leaves in leaves:
-                segment += learning_rate * self.values[tree_leaves, 0]
+                segment += learning_rate * values.take(tree_leaves)
         return raw
 
     def predict_stack(self, X: np.ndarray) -> np.ndarray:
@@ -416,5 +428,5 @@ class ForestArena:
         """
         stack = np.empty((self.n_trees, X.shape[0]))
         for span, leaves in self._leaf_chunks(X):
-            stack[:, span] = self.values[leaves, 0]
+            stack[:, span] = self.output_values[0].take(leaves)
         return stack

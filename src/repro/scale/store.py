@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -68,6 +69,14 @@ _CODED_COLUMNS = ("firmware", "vendor", "model")
 
 #: Sentinel for "drive never failed" in the int64 failure_day array.
 _NO_FAILURE = -1
+
+#: A shard file name, whatever its index width.
+_SHARD_FILE = re.compile(r"shard_\d+\.npz")
+
+#: The files of the earlier single-directory dataset layout
+#: (:mod:`repro.telemetry.io` still reads it); a store written over one
+#: removes them.
+_LEGACY_FILES = ("columns.npz", "strings.json", "drives.json", "tickets.json")
 
 
 class ShardManifestError(RuntimeError):
@@ -136,6 +145,20 @@ class _Vocab:
 
     def to_dict(self) -> dict[str, list[str]]:
         return {name: self.words(name) for name in sorted(self._tables)}
+
+
+def _all_serials(dataset: TelemetryDataset) -> np.ndarray:
+    """Sorted serials of the drive table, the rows and the tickets.
+
+    An unvalidated dataset may hold rows or tickets of a serial the drive
+    table lacks; they are stored like any other, so validation on load
+    can report them.
+    """
+    tickets = np.fromiter((t.serial for t in dataset.tickets), dtype=np.int64,
+                          count=len(dataset.tickets))
+    return np.unique(np.concatenate(
+        [dataset.serials, dataset.columns["serial"], tickets]
+    ))
 
 
 def _pack_shard(dataset: TelemetryDataset, vocab: _Vocab) -> dict[str, np.ndarray]:
@@ -233,7 +256,9 @@ class ShardWriter:
     a crash mid-write leaves no manifest, and the store reads as absent
     rather than as a silently truncated fleet. Writing over a committed
     store removes its manifest before the first shard lands, so an
-    interrupted overwrite reads as absent too.
+    interrupted overwrite reads as absent too; once the new manifest is
+    committed, the shard files it does not list and the files of the
+    earlier dataset layout are removed.
     """
 
     def __init__(self, root: str | Path, compress: bool = False):
@@ -247,7 +272,7 @@ class ShardWriter:
     def add_shard(self, dataset: TelemetryDataset) -> ShardInfo:
         if self._closed:
             raise RuntimeError("writer already closed")
-        serials = sorted(dataset.drives)
+        serials = _all_serials(dataset)
         if self._shards and serials[0] <= self._shards[-1].last_serial:
             raise ValueError(
                 "shards must arrive in ascending, non-overlapping serial order"
@@ -308,7 +333,17 @@ class ShardWriter:
             self.root / MANIFEST_NAME,
             json.dumps(manifest, indent=2, sort_keys=True).encode(),
         )
+        self._remove_stale()
         return ShardedDataset(self.root)
+
+    def _remove_stale(self) -> None:
+        """Delete what an earlier write left that the manifest does not list."""
+        listed = {info.filename for info in self._shards}
+        for path in self.root.iterdir():
+            if path.name in listed:
+                continue
+            if _SHARD_FILE.fullmatch(path.name) or path.name in _LEGACY_FILES:
+                path.unlink()
 
 
 def is_shard_store(path: str | Path) -> bool:
@@ -409,9 +444,11 @@ def write_dataset_sharded(
     in-RAM and sharded paths and compared drive-for-drive. One shard
     stores the dataset as it stands (the layout of
     :func:`repro.telemetry.io.save_dataset`): rows, drive table and
-    tickets in their own order, unvalidated.
+    tickets in their own order, unvalidated.  Several shards partition
+    every serial of the drive table, the rows and the tickets, so a row
+    or ticket without a drive-table entry is stored too.
     """
-    serials = np.sort(dataset.serials)
+    serials = _all_serials(dataset)
     if not 1 <= n_shards <= serials.size:
         raise ValueError(f"n_shards must be in [1, {serials.size}]")
     writer = ShardWriter(root, compress=compress)
@@ -423,7 +460,10 @@ def write_dataset_sharded(
         # select_rows keeps only serials that still have rows; carry the
         # partition's zero-row drives (and their tickets) across too so
         # the sharded fleet's drive table matches the in-RAM one.
-        shard.drives = {s: dataset.drives[s] for s in group.tolist()}
-        shard.tickets = [t for t in dataset.tickets if t.serial in shard.drives]
+        members = set(group.tolist())
+        shard.drives = {
+            s: dataset.drives[s] for s in group.tolist() if s in dataset.drives
+        }
+        shard.tickets = [t for t in dataset.tickets if t.serial in members]
         writer.add_shard(shard)
     return writer.close(extra=extra)

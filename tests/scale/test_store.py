@@ -111,6 +111,27 @@ class TestDetection:
         assert not is_shard_store(store.root)
 
 
+class TestOverwrite:
+    def test_fewer_shards_remove_the_unlisted_ones(self, small_fleet, tmp_path):
+        root = tmp_path / "s"
+        write_dataset_sharded(small_fleet, root, n_shards=3)
+        store = write_dataset_sharded(small_fleet, root, n_shards=1)
+        assert sorted(p.name for p in root.iterdir()) == [
+            MANIFEST_NAME, "shard_0000.npz",
+        ]
+        assert store.n_rows == small_fleet.n_records
+
+    def test_files_that_are_not_shards_stay(self, small_fleet, tmp_path):
+        root = tmp_path / "s"
+        write_dataset_sharded(small_fleet, root, n_shards=2)
+        (root / "notes.txt").write_text("kept")
+        (root / "shard_0001.npz.bak").write_bytes(b"kept")
+        write_dataset_sharded(small_fleet, root, n_shards=1)
+        assert sorted(p.name for p in root.iterdir()) == [
+            MANIFEST_NAME, "notes.txt", "shard_0000.npz", "shard_0001.npz.bak",
+        ]
+
+
 class TestErrors:
     def test_missing_manifest_raises(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -12,6 +12,7 @@ from repro.scale.store import (
     ShardedDataset,
     ShardManifestError,
     is_shard_store,
+    write_dataset_sharded,
 )
 from repro.telemetry.dataset import TelemetryDataset
 from repro.telemetry.io import FORMAT_VERSION, load_dataset, save_dataset
@@ -183,6 +184,12 @@ class TestLegacyLayout:
         assert is_shard_store(path)
         _assert_same(load_dataset(path), loaded)
 
+    def test_resaving_removes_the_earlier_layout(self, tmp_path):
+        path = save_dataset(load_dataset(LEGACY_FLEET), _legacy_copy(tmp_path))
+        assert sorted(p.name for p in path.iterdir()) == [
+            "manifest.json", "shard_0000.npz",
+        ]
+
 
 class TestValidateOnLoad:
     def test_clean_roundtrip_validates(self, small_fleet, tmp_path):
@@ -201,6 +208,27 @@ class TestValidateOnLoad:
 
         with pytest.raises(ValueError, match="fails validation"):
             load_dataset(path, validate=True)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_sharded_store_keeps_the_fault_visible(
+        self, small_fleet, tmp_path, n_shards
+    ):
+        """Rows and tickets whose drive-table entry is gone are stored at
+        every shard count, so validation on load names their serial."""
+        dropped = small_fleet.tickets[0].serial
+        drives = {s: m for s, m in small_fleet.drives.items() if s != dropped}
+        corrupted = TelemetryDataset(small_fleet.columns, drives, small_fleet.tickets)
+        root = tmp_path / "fleet"
+        write_dataset_sharded(corrupted, root, n_shards)
+
+        loaded = load_dataset(root)
+        assert loaded.n_records == small_fleet.n_records
+        assert len(loaded.tickets) == len(small_fleet.tickets)
+        assert np.count_nonzero(loaded.columns["serial"] == dropped) > 0
+        with pytest.raises(
+            ValueError, match=f"serial {dropped} has rows but no drive metadata"
+        ):
+            load_dataset(root, validate=True)
 
     def test_sanitize_on_load_repairs(self, small_fleet, tmp_path):
         corrupted, removed = _without_first_drive(small_fleet)
