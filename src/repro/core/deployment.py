@@ -246,13 +246,15 @@ def plan_retrains(
 ) -> list[bool]:
     """Which window boundaries the monitor will retrain at.
 
-    ``FleetMonitor._maybe_retrain`` depends only on the boundary day,
-    the policy, and the failure-time table — never on scoring results —
-    and the failure-time table itself is a pure function of the full
-    prepared dataset (identical after every refit). The whole retrain
-    schedule is therefore known up front, which is what lets the
-    sharded monitor run shard-outer/window-inner loops with each
-    boundary's model trained once.
+    The one retrain rule: ``FleetMonitor._maybe_retrain`` asks it about
+    one boundary at a time, the sharded monitor about all of them. It
+    depends only on the boundary day, the policy, and the failure-time
+    table — never on scoring results — and the failure-time table
+    itself is a pure function of the full prepared dataset (identical
+    after every refit). The whole retrain schedule is therefore known
+    up front, which is what lets the sharded monitor run
+    shard-outer/window-inner loops with each boundary's model trained
+    once.
     """
     last_trained = train_end_day
     failures_at_training = sum(
@@ -322,9 +324,15 @@ class FleetMonitor:
             self.dataset = dataset
             self.model = MFPA(self.config)
             self.model.fit(dataset, train_end_day=train_end_day)
-        self._last_trained_day = train_end_day
+        self._trained_at(train_end_day)
+
+    def _trained_at(self, day: int) -> None:
+        """Record ``day`` as the last training horizon, with the failures
+        known before it (the baseline ``plan_retrains`` counts from)."""
+        self._last_trained_day = day
         self._failures_at_training = sum(
-            1 for day in self.model.failure_times_.values() if day < train_end_day
+            1 for failure_day in self.model.failure_times_.values()
+            if failure_day < day
         )
 
     def start_with_model(
@@ -349,29 +357,22 @@ class FleetMonitor:
             self.model = model
             if not hasattr(model, "dataset_"):
                 model.bind_dataset(dataset)
-        self._last_trained_day = train_end_day
-        self._failures_at_training = sum(
-            1 for day in self.model.failure_times_.values() if day < train_end_day
-        )
+        self._trained_at(train_end_day)
 
     def _check_started(self) -> None:
         if self._last_trained_day is None:
             raise RuntimeError("FleetMonitor.start() must be called first")
 
     def _maybe_retrain(self, day: int) -> bool:
-        if day - self._last_trained_day < self.policy.interval_days:
-            return False
-        known_failures = sum(
-            1 for failure_day in self.model.failure_times_.values() if failure_day < day
-        )
-        if known_failures - self._failures_at_training < self.policy.min_new_failures:
+        if not plan_retrains(
+            [day], self.policy, self.model.failure_times_, self._last_trained_day
+        )[0]:
             return False
         with trace_span("monitor.retrain"):
             self.model = MFPA(self.config)
             self.model.fit(self.dataset, train_end_day=day)
         inc_counter("monitor_retrains_total")
-        self._last_trained_day = day
-        self._failures_at_training = known_failures
+        self._trained_at(day)
         return True
 
     def score_window(self, start_day: int, end_day: int) -> MonitoringWindow:

@@ -97,6 +97,19 @@ class SampleSet:
             days=self.days[order],
         )
 
+    @staticmethod
+    def concat(parts: list["SampleSet"], row_offsets: list[int]) -> "SampleSet":
+        """Samples of consecutive datasets, ``parts[i]``'s rows shifted by
+        ``row_offsets[i]`` to index the datasets' concatenation."""
+        return SampleSet(
+            row_indices=np.concatenate(
+                [p.row_indices + o for p, o in zip(parts, row_offsets)]
+            ),
+            labels=np.concatenate([p.labels for p in parts]),
+            serials=np.concatenate([p.serials for p in parts]),
+            days=np.concatenate([p.days for p in parts]),
+        )
+
     def subset(self, indices: np.ndarray) -> "SampleSet":
         return SampleSet(
             row_indices=self.row_indices[indices],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,10 +23,16 @@ from repro.core.labeling import (
     build_samples,
     late_failure_mask,
 )
-from repro.core.preprocess import preprocess
+from repro.core.preprocess import (
+    PreprocessReport,
+    _row_map,
+    merge_preprocess_reports,
+    preprocess,
+)
 from repro.core.selection import SequentialForwardSelector, youden_score
 from repro.core.splitting import TimeSeriesCrossValidator
 from repro.ml.base import BaseClassifier, clone
+from repro.ml.encoding import LabelEncoder
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import ClassificationReport, classification_report
 from repro.ml.model_selection import GridSearchCV
@@ -180,11 +187,82 @@ class EvaluationResult:
     n_healthy_drives: int
     period: tuple[int, int]
 
+    @classmethod
+    def from_scores(
+        cls, scores: tuple, threshold: float, period: tuple[int, int]
+    ) -> "EvaluationResult":
+        """Threshold ``MFPA._collect_drive_scores``-shaped arrays
+        ``(drive_truth, drive_scores, record_truth, record_scores,
+        n_faulty, n_healthy)`` into both reports."""
+        drive_truth, drive_scores, record_truth, record_scores, n_faulty, n_healthy = (
+            scores
+        )
+        return cls(
+            drive_report=classification_report(
+                drive_truth, (drive_scores >= threshold).astype(int), drive_scores
+            ),
+            record_report=classification_report(
+                record_truth, (record_scores >= threshold).astype(int), record_scores
+            ),
+            n_faulty_drives=n_faulty,
+            n_healthy_drives=n_healthy,
+            period=period,
+        )
+
     def __str__(self) -> str:
         return (
             f"period {self.period}: drives[{self.drive_report}] "
             f"({self.n_faulty_drives} faulty / {self.n_healthy_drives} healthy)"
         )
+
+
+def _prepare_shard(
+    raw: TelemetryDataset,
+    config: MFPAConfig,
+    encoder: LabelEncoder | None = None,
+) -> tuple[TelemetryDataset, PreprocessReport, LabelEncoder, tuple[str, ...]]:
+    """The per-shard transform of every MFPA path: §III-C(1)
+    :func:`preprocess` — fitting the firmware encoder on the shard when
+    ``encoder`` is None, transform-only otherwise — then derived
+    features. Returns ``(prepared, report, encoder, derived_columns)``.
+    """
+    prepared, report, encoder = preprocess(
+        raw,
+        max_gap=config.max_gap,
+        fill_gap=config.fill_gap,
+        min_segment_records=config.min_segment_records,
+        encoder=encoder,
+    )
+    derived: tuple[str, ...] = ()
+    if config.derived_features:
+        from repro.core.derived import add_derived_features
+
+        prepared, derived = add_derived_features(prepared)
+    return prepared, report, encoder, derived
+
+
+def _union_encoder(
+    shards: Iterable[TelemetryDataset], config: MFPAConfig
+) -> LabelEncoder:
+    """Fit the firmware encoder over every shard's vocabulary.
+
+    The encoder sorts its classes, so fitting it on the union of the
+    per-shard vocabularies equals fitting it on the whole repaired
+    column. Repair drops rows (and with them firmware values), so the
+    vocabulary is collected from the rows ``preprocess`` keeps; finding
+    them costs only the repair's row map over ``serial`` and ``day``.
+    """
+    vocabulary: set = set()
+    for raw in shards:
+        kept = _row_map(
+            raw.columns["serial"],
+            raw.columns["day"],
+            config.max_gap,
+            config.fill_gap,
+            config.min_segment_records,
+        ).source
+        vocabulary.update(raw.columns["firmware"][kept].tolist())
+    return LabelEncoder().fit(vocabulary)
 
 
 class MFPA:
@@ -208,66 +286,152 @@ class MFPA:
     def fit(self, dataset: TelemetryDataset, train_end_day: int) -> "MFPA":
         """Preprocess, label and train on records before ``train_end_day``.
 
+        The fleet is the one-shard, in-memory case of :meth:`_fit_shards`,
+        the only MFPA fit body (the out-of-core
+        :func:`~repro.scale.trainer.fit_sharded` runs it over a store):
+        ``preprocess`` fits the firmware encoder itself, the prepared
+        fleet is kept for assembly and becomes ``dataset_``, and nothing
+        is prepared twice.
+
         Each stage runs inside a ``trace_span`` (nested under
         ``pipeline.fit``) mirroring the ``stage_stats_`` keys, so traced
         runs show exactly where fit wall-clock goes.
         """
         with trace_span("pipeline.fit"):
-            return self._fit(dataset, train_end_day)
+            return self._fit_shards(
+                lambda: (dataset,), 1, train_end_day, in_memory=True
+            )
 
-    def _fit(self, dataset: TelemetryDataset, train_end_day: int) -> "MFPA":
+    def _fit_shards(
+        self,
+        shards: Callable[[], Iterable[TelemetryDataset]],
+        n_shards: int,
+        train_end_day: int,
+        in_memory: bool = False,
+        check: Callable[[str], object] = lambda stage: None,
+    ) -> "MFPA":
+        """The MFPA stage sequence over a fleet cut into drive shards.
+
+        ``shards()`` starts a fresh pass over the raw shards, in serial
+        order; ``check(stage)`` runs after every shard and global step
+        (the out-of-core memory ceiling). Every stage up to sampling is
+        per drive, so running it shard by shard with global row offsets
+        reproduces the whole-fleet result:
+
+        1. the firmware encoder — fitted by ``preprocess`` itself for one
+           shard, over the union of the shards' vocabularies otherwise;
+        2. pass 1: per shard, the transform of :func:`_prepare_shard`,
+           failure-time identification and sample labeling;
+        3. the horizon filter, seeded undersample and forward selection
+           over the concatenated samples;
+        4. pass 2: each selected row assembled on its own shard and
+           scattered into the global order — from the kept prepared
+           fleet when it is ``in_memory`` (it then becomes ``dataset_``),
+           re-loaded and re-prepared from a store;
+        5. :meth:`_fit_estimator`.
+        """
         config = self.config
+        engineering = labeling = 0.0
+        encoder = None
+        if n_shards > 1:
+            started = time.perf_counter()
+            with trace_span("feature_engineering"):
+                encoder = _union_encoder(shards(), config)
+            engineering += time.perf_counter() - started
+            check("fit.vocabulary")
 
-        started = time.perf_counter()
-        with trace_span("feature_engineering"):
-            prepared, report, encoder = preprocess(
-                dataset,
-                max_gap=config.max_gap,
-                fill_gap=config.fill_gap,
-                min_segment_records=config.min_segment_records,
-            )
-            if config.derived_features:
-                from repro.core.derived import add_derived_features
-
-                prepared, self.derived_columns_ = add_derived_features(prepared)
-            else:
-                self.derived_columns_ = ()
-        self._record_stage("feature_engineering", started, prepared.n_records)
-        self.dataset_ = prepared
-        self.preprocess_report_ = report
+        # ---- pass 1: per-shard transform and labels, global row offsets
+        failure_times: dict[int, int] = {}
+        parts: list[SampleSet] = []
+        reports: list[PreprocessReport] = []
+        offsets: list[int] = []
+        n_records = 0
+        for raw in shards():
+            started = time.perf_counter()
+            with trace_span("feature_engineering"):
+                prepared, report, encoder, derived = _prepare_shard(
+                    raw, config, encoder
+                )
+            labeled = time.perf_counter()
+            engineering += labeled - started
+            with trace_span("labeling"):
+                shard_times = FailureTimeIdentifier(config.theta).identify(
+                    prepared
+                )
+                samples = build_samples(
+                    prepared,
+                    shard_times,
+                    positive_window=config.positive_window,
+                    lookahead=config.lookahead,
+                )
+            labeling += time.perf_counter() - labeled
+            failure_times.update(shard_times)
+            parts.append(samples)
+            reports.append(report)
+            offsets.append(n_records)
+            n_records += prepared.n_records
+            check("fit.label_shard")
+        samples = SampleSet.concat(parts, offsets)
+        del parts  # hold one copy of the samples through training, not two
+        self.failure_times_ = failure_times
+        self.preprocess_report_ = merge_preprocess_reports(reports)
         self.firmware_encoder_ = encoder
+        self.derived_columns_ = derived
+        if in_memory:
+            self.dataset_ = prepared
+        self._record_stage("feature_engineering", engineering, n_records)
+        self._record_stage("labeling", labeling, samples.n_samples)
 
-        started = time.perf_counter()
-        with trace_span("labeling"):
-            self.failure_times_ = FailureTimeIdentifier(config.theta).identify(
-                prepared
-            )
-            samples = build_samples(
-                prepared,
-                self.failure_times_,
-                positive_window=config.positive_window,
-                lookahead=config.lookahead,
-            )
-        self._record_stage("labeling", started, samples.n_samples)
+        # ---- global steps, then pass 2: shard-local assembly, scattered
+        kept = prepared if in_memory else None
+
+        def assemble(assembler: FeatureAssembler, rows: np.ndarray) -> np.ndarray:
+            X = None
+            bounds = [*offsets, n_records]
+            for index, raw in enumerate(shards()):
+                low = bounds[index]
+                in_shard = np.flatnonzero(
+                    (rows >= low) & (rows < bounds[index + 1])
+                )
+                if in_shard.size == 0:
+                    continue
+                shard = kept if kept is not None else _prepare_shard(
+                    raw, config, encoder
+                )[0]
+                local = assembler.assemble(shard.columns, rows[in_shard] - low)
+                check("fit.assemble_shard")
+                if in_shard.size == rows.size:
+                    return local
+                if X is None:
+                    X = np.empty((rows.size, local.shape[1]))
+                X[in_shard] = local
+            return X
 
         train = self._select_train_samples(samples, train_end_day)
-
         started = time.perf_counter()
         with trace_span("sampling"):
             row_indices, labels, days = self._undersample(train)
+            check("fit.undersample")
             columns = self._training_columns()
             if config.feature_selection:
-                columns = self._forward_select(
-                    prepared, row_indices, labels, days, columns
-                )
+                with trace_span("feature_selection"):
+                    subsample = self._selection_subsample(row_indices.size)
+                    X = assemble(
+                        FeatureAssembler(columns, history_length=1),
+                        row_indices[subsample],
+                    )
+                    columns = self._run_forward_selection(
+                        X, labels[subsample], days[subsample], columns
+                    )
             self.assembler_ = FeatureAssembler(columns, config.history_length)
-            X = self.assembler_.assemble(prepared.columns, row_indices)
-        self._record_stage("sampling", started, labels.size)
+            X = assemble(self.assembler_, row_indices)
+        self._record_stage("sampling", time.perf_counter() - started, labels.size)
 
         started = time.perf_counter()
         with trace_span("training"):
             self._fit_estimator(X, labels, days)
-        self._record_stage("training", started, labels.size)
+        self._record_stage("training", time.perf_counter() - started, labels.size)
+        check("fit.train")
         self.train_end_day_ = train_end_day
         return self
 
@@ -275,36 +439,29 @@ class MFPA:
         """Attach a fleet dataset to an artifact-loaded pipeline.
 
         Runs only the *transform* half of :meth:`fit` — the same
-        :func:`~repro.core.preprocess.preprocess` pass with the firmware
-        encoded through the **saved** encoder, derived features, and
-        failure-time labeling — so an ``repro model load``-ed pipeline
-        can ``evaluate()`` or drive a fleet monitor without retraining.
+        per-shard transform (:func:`_prepare_shard`) with the firmware
+        encoded through the **saved** encoder, then failure-time
+        labeling — so an ``repro model load``-ed pipeline can
+        ``evaluate()`` or drive a fleet monitor without retraining.
         ``model_``, ``assembler_`` and ``firmware_encoder_`` are left
         exactly as loaded; non-finite telemetry and a firmware version
         the encoder never saw raise ``ValueError`` rather than reaching
         the prepared columns or silently remapping codes.
         """
         self._check_fitted()
-        config = self.config
         started = time.perf_counter()
         with trace_span("bind_dataset"):
-            prepared, report, _ = preprocess(
-                dataset,
-                max_gap=config.max_gap,
-                fill_gap=config.fill_gap,
-                min_segment_records=config.min_segment_records,
-                encoder=self.firmware_encoder_,
+            prepared, report, _, _ = _prepare_shard(
+                dataset, self.config, self.firmware_encoder_
             )
-            if self.derived_columns_:
-                from repro.core.derived import add_derived_features
-
-                prepared, _ = add_derived_features(prepared)
             self.dataset_ = prepared
             self.preprocess_report_ = report
-            self.failure_times_ = FailureTimeIdentifier(config.theta).identify(
-                prepared
-            )
-        self._record_stage("bind_dataset", started, prepared.n_records)
+            self.failure_times_ = FailureTimeIdentifier(
+                self.config.theta
+            ).identify(prepared)
+        self._record_stage(
+            "bind_dataset", time.perf_counter() - started, prepared.n_records
+        )
         return self
 
     def _select_train_samples(
@@ -363,8 +520,7 @@ class MFPA:
         self, X: np.ndarray, labels: np.ndarray, days: np.ndarray
     ) -> None:
         """Train ``self.model_`` on an assembled matrix (grid search or
-        plain fit). Shared verbatim by the sharded trainer — given the
-        same ``(X, labels, days)`` the fitted model is bit-identical."""
+        plain fit)."""
         config = self.config
         if config.param_grid:
             search = GridSearchCV(
@@ -385,28 +541,6 @@ class MFPA:
             )
             self.model_.fit(X, labels)
 
-    def _forward_select(
-        self,
-        prepared: TelemetryDataset,
-        row_indices: np.ndarray,
-        labels: np.ndarray,
-        days: np.ndarray,
-        columns: tuple[str, ...],
-    ) -> tuple[str, ...]:
-        """Sequential forward selection over the candidate columns.
-
-        Runs on a (chronologically ordered) row cap with the time-series
-        CV, scoring Youden's J. The score trajectory lands in
-        ``self.selection_history_`` (the data behind Fig 17).
-        """
-        with trace_span("feature_selection"):
-            assembler = FeatureAssembler(columns, history_length=1)
-            subsample = self._selection_subsample(row_indices.size)
-            X = assembler.assemble(prepared.columns, row_indices[subsample])
-            return self._run_forward_selection(
-                X, labels[subsample], days[subsample], columns
-            )
-
     def _selection_subsample(self, n_rows: int) -> np.ndarray:
         """Deterministic chronological row cap for the greedy search."""
         cap = min(self.config.selection_max_rows, n_rows)
@@ -420,11 +554,11 @@ class MFPA:
         days: np.ndarray,
         columns: tuple[str, ...],
     ) -> tuple[str, ...]:
-        """Greedy search over an already-assembled candidate matrix.
+        """Sequential forward selection over an assembled candidate matrix.
 
-        Split out of :meth:`_forward_select` so the out-of-core trainer
-        can hand in a shard-assembled matrix and still land on the same
-        chosen columns and ``selection_history_``.
+        Runs on a (chronologically ordered) row cap with the time-series
+        CV, scoring Youden's J. The score trajectory lands in
+        ``self.selection_history_`` (the data behind Fig 17).
         """
         config = self.config
         selector = SequentialForwardSelector(
@@ -443,9 +577,9 @@ class MFPA:
         ]
         return tuple(columns[index] for index in chosen)
 
-    def _record_stage(self, stage: str, started: float, n_items: int) -> None:
+    def _record_stage(self, stage: str, seconds: float, n_items: int) -> None:
         self.stage_stats_[stage] = {
-            "seconds": time.perf_counter() - started,
+            "seconds": seconds,
             "n_items": float(n_items),
         }
 
@@ -584,27 +718,10 @@ class MFPA:
         """
         started = time.perf_counter()
         with trace_span("pipeline.evaluate"), trace_span("prediction"):
-            (
-                drive_truth_arr,
-                drive_scores_arr,
-                record_truth_arr,
-                record_scores_arr,
-                n_faulty,
-                n_healthy,
-            ) = self._collect_drive_scores(start_day, end_day)
-            threshold = self.config.decision_threshold
-            drive_predictions = (drive_scores_arr >= threshold).astype(int)
-            record_predictions = (record_scores_arr >= threshold).astype(int)
-        self._record_stage("prediction", started, record_truth_arr.size)
-
-        return EvaluationResult(
-            drive_report=classification_report(
-                drive_truth_arr, drive_predictions, drive_scores_arr
-            ),
-            record_report=classification_report(
-                record_truth_arr, record_predictions, record_scores_arr
-            ),
-            n_faulty_drives=n_faulty,
-            n_healthy_drives=n_healthy,
-            period=(start_day, end_day),
+            scores = self._collect_drive_scores(start_day, end_day)
+        self._record_stage(
+            "prediction", time.perf_counter() - started, scores[2].size
+        )
+        return EvaluationResult.from_scores(
+            scores, self.config.decision_threshold, (start_day, end_day)
         )

@@ -24,7 +24,7 @@ column costs one encoder lookup per run of equal labels.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -308,3 +308,22 @@ def preprocess(
     inc_counter("preprocess_rows_total", report.n_rows_dropped, outcome="dropped")
     inc_counter("preprocess_rows_total", report.n_rows_filled, outcome="filled")
     return TelemetryDataset(columns, repaired.drives, repaired.tickets), report, encoder
+
+
+def merge_preprocess_reports(
+    reports: list[PreprocessReport],
+) -> PreprocessReport:
+    """Fleet-total repair accounting from per-shard reports."""
+    if not reports:
+        raise ValueError("nothing to merge")
+    merged = reports[0]
+    for report in reports[1:]:
+        merged = replace(
+            merged,
+            n_input_rows=merged.n_input_rows + report.n_input_rows,
+            n_output_rows=merged.n_output_rows + report.n_output_rows,
+            n_rows_dropped=merged.n_rows_dropped + report.n_rows_dropped,
+            n_rows_filled=merged.n_rows_filled + report.n_rows_filled,
+            n_drives_dropped=merged.n_drives_dropped + report.n_drives_dropped,
+        )
+    return merged

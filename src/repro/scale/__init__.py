@@ -9,8 +9,11 @@ npz shards and streams every stage over them:
   fingerprints, append-only string vocab);
 * :mod:`repro.scale.stats` — shard-at-a-time quantile edge fitting and
   quarantine/preprocess report merging;
-* :mod:`repro.scale.trainer` — :func:`fit_sharded`, bit-identical to
-  ``MFPA.fit`` on the concatenated fleet;
+* :mod:`repro.scale.trainer` — :func:`fit_sharded`, MFPA's one fit
+  body run over a store's shards (``MFPA.fit`` runs it over one
+  in-memory shard), bit-identical to ``MFPA.fit`` on the concatenated
+  fleet; for one shard ``preprocess`` fits the firmware encoder and no
+  union-encoder pass runs;
 * :mod:`repro.scale.monitor` — :class:`ShardedFleetMonitor`,
   bit-identical to the in-RAM monitor's ``OperationSummary``;
 * :mod:`repro.scale.memory` — peak-RSS gauge and the

@@ -14,8 +14,9 @@ shard-by-shard at fleet scale:
   :class:`~repro.core.preprocess.PreprocessReport` and
   :class:`~repro.robustness.quarantine.QuarantineReport` objects merge
   into fleet totals (:func:`merge_preprocess_reports`,
-  :func:`merge_quarantine_reports`) so a sharded run reports the same
-  shape of evidence as an in-RAM one.
+  :func:`merge_quarantine_reports`; the first is defined beside its
+  report type, where the fit body uses it) so a sharded run reports the
+  same shape of evidence as an in-RAM one.
 
 Edge-fit semantics match :func:`repro.ml.binning.build_binned` exactly
 while a feature's distinct values fit in the bin budget (the lossless
@@ -26,11 +27,9 @@ out-of-core fitting is approximate by construction.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from repro.core.preprocess import PreprocessReport
+from repro.core.preprocess import merge_preprocess_reports
 from repro.ml.binning import DEFAULT_BINS, MAX_BINS
 from repro.robustness.quarantine import QuarantineReport, RuleOutcome
 
@@ -156,25 +155,6 @@ def fit_bin_edges(
     for X in shard_matrices:
         sketch.update(X)
     return sketch.edges()
-
-
-def merge_preprocess_reports(
-    reports: list[PreprocessReport],
-) -> PreprocessReport:
-    """Fleet-total repair accounting from per-shard reports."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    merged = reports[0]
-    for report in reports[1:]:
-        merged = replace(
-            merged,
-            n_input_rows=merged.n_input_rows + report.n_input_rows,
-            n_output_rows=merged.n_output_rows + report.n_output_rows,
-            n_rows_dropped=merged.n_rows_dropped + report.n_rows_dropped,
-            n_rows_filled=merged.n_rows_filled + report.n_rows_filled,
-            n_drives_dropped=merged.n_drives_dropped + report.n_drives_dropped,
-        )
-    return merged
 
 
 def merge_quarantine_reports(

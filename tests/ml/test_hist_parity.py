@@ -264,8 +264,14 @@ def test_hist_not_slower_than_exact_on_smoke_workload():
         return time.perf_counter() - started
 
     fit_seconds("exact")  # warm numpy/BLAS paths before timing
-    exact_seconds = fit_seconds("exact")
-    hist_seconds = fit_seconds("hist")
+    # One fit of each cannot resolve a 5% budget on a noisy host:
+    # compare medians of alternating fits instead.
+    timings = {"exact": [], "hist": []}
+    for _ in range(5):
+        for algorithm in timings:
+            timings[algorithm].append(fit_seconds(algorithm))
+    exact_seconds = float(np.median(timings["exact"]))
+    hist_seconds = float(np.median(timings["hist"]))
     assert hist_seconds <= exact_seconds * 1.05, (
         f"hist backend slower than exact on the smoke workload: "
         f"{hist_seconds:.3f}s vs {exact_seconds:.3f}s"

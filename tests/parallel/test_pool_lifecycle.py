@@ -103,7 +103,10 @@ class TestPoolReuse:
             return model.fit(X, y).predict_proba(X)
 
         serial = fit(1)
-        # Two parallel fits: the second rides the pool the first forked.
+        # Two consecutive parallel fits both match the serial fit, and
+        # the pool is live between them. Each fit shares a fresh
+        # payload, so the second re-forks the pool instead of reusing
+        # the first fork's workers.
         np.testing.assert_array_equal(serial, fit(2))
         assert pool_manager.pool_stats()["live"]
         np.testing.assert_array_equal(serial, fit(2))

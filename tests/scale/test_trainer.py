@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import pipeline as pipeline_mod
 from repro.core.pipeline import MFPA
-from repro.scale import evaluate_sharded, fit_sharded, write_dataset_sharded
+from repro.scale import (
+    ShardedDataset,
+    evaluate_sharded,
+    fit_sharded,
+    write_dataset_sharded,
+)
 from repro.telemetry.dataset import TelemetryDataset
+from repro.telemetry.io import save_dataset
 
 from tests.scale.conftest import cheap_config
 
@@ -15,12 +22,22 @@ TRAIN_END = 240
 EVAL_END = 360
 
 
+def _fit_pair(fleet: TelemetryDataset, store: ShardedDataset, **overrides):
+    in_ram = MFPA(cheap_config(**overrides)).fit(fleet, train_end_day=TRAIN_END)
+    sharded = fit_sharded(store, cheap_config(**overrides), train_end_day=TRAIN_END)
+    return in_ram, sharded
+
+
 @pytest.fixture(scope="module")
 def fitted_pair(small_fleet, shard_store):
-    config = cheap_config()
-    in_ram = MFPA(cheap_config()).fit(small_fleet, train_end_day=TRAIN_END)
-    sharded = fit_sharded(shard_store, config, train_end_day=TRAIN_END)
-    return in_ram, sharded
+    return _fit_pair(small_fleet, shard_store)
+
+
+@pytest.fixture(scope="module")
+def one_shard_store(small_fleet, tmp_path_factory):
+    """The small fleet as ``save_dataset`` writes it: a one-shard store."""
+    root = tmp_path_factory.mktemp("one-shard") / "store"
+    return ShardedDataset(save_dataset(small_fleet, root))
 
 
 class TestFitParity:
@@ -81,6 +98,63 @@ class TestEvaluateParity:
         _, sharded = fitted_pair
         with pytest.raises(ValueError, match="end_day"):
             evaluate_sharded(sharded, shard_store, 300, 300)
+
+
+class TestOneShardStore(TestFitParity, TestEvaluateParity):
+    """Every fit and evaluate parity check again over a one-shard store,
+    where ``preprocess`` fits the encoder and no union pass runs."""
+
+    @pytest.fixture(scope="class")
+    def shard_store(self, one_shard_store):
+        return one_shard_store
+
+    @pytest.fixture(scope="class")
+    def fitted_pair(self, small_fleet, one_shard_store):
+        return _fit_pair(small_fleet, one_shard_store)
+
+
+def test_selection_and_derived_features_parity(small_fleet, shard_store):
+    """Forward selection assembles its candidate matrix in pass 2 too."""
+    in_ram, sharded = _fit_pair(
+        small_fleet,
+        shard_store,
+        feature_selection=True,
+        selection_max_features=2,
+        selection_max_rows=600,
+        derived_features=True,
+    )
+    assert sharded.selection_history_ == in_ram.selection_history_
+    assert sharded.assembler_.columns == in_ram.assembler_.columns
+    rows = np.arange(0, in_ram.dataset_.n_records, 97)
+    sharded.dataset_ = in_ram.dataset_
+    np.testing.assert_array_equal(
+        sharded.predict_proba_rows(rows), in_ram.predict_proba_rows(rows)
+    )
+
+
+def test_in_ram_fit_prepares_the_fleet_once(small_fleet, monkeypatch):
+    calls = {"preprocess": 0, "load_shard": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        pipeline_mod, "preprocess", counting("preprocess", pipeline_mod.preprocess)
+    )
+    monkeypatch.setattr(
+        ShardedDataset,
+        "load_shard",
+        counting("load_shard", ShardedDataset.load_shard),
+    )
+    model = MFPA(cheap_config()).fit(small_fleet, train_end_day=TRAIN_END)
+    assert calls == {"preprocess": 1, "load_shard": 0}
+    calls["preprocess"] = 0
+    model.bind_dataset(small_fleet)
+    assert calls == {"preprocess": 1, "load_shard": 0}
 
 
 #: A firmware label that sorts before every simulated one (``I_F_<n>``).
