@@ -23,6 +23,7 @@ from repro.ml.tree import (
     DecisionTreeRegressor,
     _binned_for_fit,
     _check_split_algorithm,
+    _ValueRanks,
 )
 from repro.obs import inc_counter, trace_span
 from repro.parallel import ParallelExecutor, SharedPayload, share
@@ -42,24 +43,22 @@ def _derive_tree_plans(
     return plans
 
 
-def _tree_binned(binned: BinnedDataset | None, sample: np.ndarray):
-    """Bootstrap view of the forest's shared binned dataset (hist only).
-
-    A uint8 row gather — the expensive quantile binning happened once in
-    the parent and reached this worker copy-on-write.
-    """
-    if binned is None:
-        return None
-    return binned.take(sample)
-
-
 def _fit_tree(
     data: SharedPayload, sample: np.ndarray, seed: int, tree_cls: type, params: dict
 ):
     with trace_span("forest.fit_tree"):
-        X, y, binned = data.get()
+        # The binning (hist) or value ranking (exact) happened
+        # once in the parent and reached this worker copy-on-write; a
+        # member takes a row gather of the codes.
+        X, y, binned, ranks = data.get()
         tree = tree_cls(seed=seed, **params)
-        tree.fit(X[sample], y[sample], binned=_tree_binned(binned, sample))
+        member = {} if ranks is None else {"_ranks": ranks.take(sample)}
+        tree.fit(
+            X[sample],
+            y[sample],
+            binned=None if binned is None else binned.take(sample),
+            **member,
+        )
     inc_counter("forest_trees_fitted_total")
     return tree
 
@@ -75,16 +74,26 @@ _MEMBER_PARAMS = (
 
 
 def _fit_members(
-    forest, X: np.ndarray, y: np.ndarray, binned, tree_cls: type, param_names
+    forest,
+    X: np.ndarray,
+    y: np.ndarray,
+    binned,
+    tree_cls: type,
+    param_names,
+    ranks: _ValueRanks | None = None,
 ) -> None:
-    """Fit ``forest.trees_`` from its bootstrap plans; set ``bin_edges_``."""
+    """Fit ``forest.trees_`` from its bootstrap plans; set ``bin_edges_``.
+
+    ``ranks`` are the value ranks of ``X`` (exact classifier forests);
+    members whose gini is not binary and unweighted ignore them.
+    """
     params = {name: getattr(forest, name) for name in param_names}
     rng = np.random.default_rng(forest.seed)
     plans = _derive_tree_plans(rng, forest.n_estimators, X.shape[0], forest.bootstrap)
     # Quantile-bin once in the parent; every tree (and every fork
     # worker, via copy-on-write) reuses the same codes.
     binned = _binned_for_fit(forest.split_algorithm, X, binned)
-    with trace_span("forest.fit"), share((X, y, binned)) as data:
+    with trace_span("forest.fit"), share((X, y, binned, ranks)) as data:
         forest.trees_ = ParallelExecutor(forest.n_jobs).starmap(
             _fit_tree,
             [(data, sample, seed, tree_cls, params) for sample, seed in plans],
@@ -158,6 +167,7 @@ class RandomForestClassifier(ArenaCached, BaseClassifier):
             binned,
             DecisionTreeClassifier,
             _MEMBER_PARAMS + ("class_weight",),
+            _ValueRanks.build(X) if self.split_algorithm == "exact" else None,
         )
         self.feature_importances_ = np.mean(
             [tree.feature_importances_ for tree in self.trees_], axis=0

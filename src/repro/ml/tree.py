@@ -22,7 +22,13 @@ acceptance rule. The split search is chosen per fit:
 
 * ``split_algorithm="exact"`` (default) — sort every candidate feature
   of a node as one ``(n_node, n_candidates)`` block and evaluate every
-  cut with prefix sums. Bit-reproducible reference.
+  cut with prefix sums. Bit-reproducible reference. For the unweighted
+  two-class gini (the MFPA case) a node whose candidates hold few
+  distinct values is searched by counting instead: each feature's
+  distinct values are ranked once per fit (:class:`_ValueRanks`), and
+  the node tallies its rows per (candidate, value rank) with two
+  ``np.bincount`` calls. Both searches score the same cuts with the
+  same float operations and tie-break, so they grow the same tree.
 * ``split_algorithm="hist"`` — LightGBM-style histogram search over a
   :class:`repro.ml.binning.BinnedDataset`: features are quantile-binned
   once into uint8 codes, each node accumulates per-bin masses with
@@ -52,6 +58,12 @@ _SUBTRACTION_MIN_ROWS = 64
 #: features, so the block's handful of ``(n_node, block)`` temporaries
 #: stay bounded however many rows and features the node has.
 _MAX_SPLIT_CELLS = 1 << 20
+
+#: A binary exact node is searched by counting value ranks only while its
+#: candidates' distinct-value total is at most this many times its
+#: ``n_node * n_candidates`` cells; past that the per-key passes cost
+#: more than sorting the block (deep nodes over continuous features).
+_COUNT_MAX_KEYS_PER_CELL = 4
 
 _SPLIT_ALGORITHMS = ("exact", "hist")
 
@@ -216,6 +228,44 @@ def _binned_for_fit(
     return binned
 
 
+class _ValueRanks:
+    """Each feature's ascending distinct values and every row's rank.
+
+    ``codes[i, f]`` is the rank of ``X[i, f]`` among feature ``f``'s
+    distinct values ``values[starts[f] : starts[f] + n_values[f]]``.
+    Built once per fit; :meth:`take` hands a forest member the rows of
+    its bootstrap sample, keeping the forest's distinct values, so a
+    member may have ranks that none of its rows hold.
+    """
+
+    def __init__(
+        self, codes: np.ndarray, values: np.ndarray, n_values: np.ndarray
+    ):
+        self.codes = codes
+        self.values = values
+        self.n_values = n_values
+        self.starts = np.cumsum(n_values) - n_values
+
+    @classmethod
+    def build(cls, X: np.ndarray) -> "_ValueRanks":
+        codes = np.empty(X.shape, dtype=np.intp)
+        values = []
+        for feature, column in enumerate(X.T):
+            distinct, codes[:, feature] = np.unique(column, return_inverse=True)
+            values.append(distinct)
+        n_values = np.array([distinct.size for distinct in values], dtype=np.intp)
+        return cls(codes, np.concatenate(values or [np.empty(0)]), n_values)
+
+    def take(self, rows: np.ndarray) -> "_ValueRanks":
+        """Row-subset view; the distinct values are shared, not re-ranked."""
+        return _ValueRanks(self.codes[rows], self.values, self.n_values)
+
+    def counting_pays(self, candidates: np.ndarray, n_node: int) -> bool:
+        """The size rule: count only when the keys are few per cell."""
+        n_keys = int(self.n_values[candidates].sum())
+        return 0 < n_keys <= _COUNT_MAX_KEYS_PER_CELL * n_node * candidates.size
+
+
 def _check_sample_weight(sample_weight, n_samples: int) -> np.ndarray:
     """Caller-supplied weights as a float vector a weighted gini can use."""
     sample_weight = np.asarray(sample_weight, dtype=float)
@@ -365,7 +415,8 @@ class _Gini:
     dense ``(f, n_bins, n_classes)`` block — whose cut scan also yields
     both children's class masses, so their leaf values and purity need
     no pass over the rows. Their exact search sums only the positive
-    indicator. Both feed :func:`_binary_gini_gains`.
+    indicator, or counts them per value rank (:func:`_count_split`).
+    All feed :func:`_binary_gini_gains`.
     """
 
     def __init__(
@@ -386,6 +437,12 @@ class _Gini:
             weights=self.sample_weight[indices],
             minlength=self.n_outputs,
         )
+
+    def node_masses(self, indices: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """``(class_mass, total_mass, parent_impurity)`` of one node."""
+        class_mass = self._class_mass(indices)
+        total_mass = class_mass.sum()
+        return class_mass, total_mass, 1.0 - np.sum((class_mass / total_mass) ** 2)
 
     def value(self, indices: np.ndarray, mass: np.ndarray | None = None) -> np.ndarray:
         if mass is None:
@@ -414,9 +471,7 @@ class _Gini:
         node_y = self.y_codes[indices]
         n = node_y.size
         if self.binary:
-            class_mass = self._class_mass(indices)
-            total_mass = class_mass.sum()
-            parent_impurity = 1.0 - np.sum((class_mass / total_mass) ** 2)
+            class_mass, total_mass, parent_impurity = self.node_masses(indices)
             positive = node_y == 1
             left_mass = np.arange(1.0, n)[:, None]
 
@@ -484,9 +539,7 @@ class _Gini:
         ``child_masses`` is ``(left, right)`` class masses on the binary
         layout, else ``None``.
         """
-        class_mass = self._class_mass(indices)
-        total_mass = class_mass.sum()
-        parent_impurity = 1.0 - np.sum((class_mass / total_mass) ** 2)
+        class_mass, total_mass, parent_impurity = self.node_masses(indices)
         if not self.binary:
             mass, counts = hists
             left_n = np.cumsum(counts[:, :-1], axis=1)
@@ -629,14 +682,85 @@ def _exact_split(
     return best_feature, best_threshold, best_gain
 
 
+def _count_split(
+    ranks: _ValueRanks,
+    indices: np.ndarray,
+    candidates: np.ndarray,
+    min_samples_leaf: int,
+    criterion: _Gini,
+):
+    """:func:`_exact_split` for the binary unweighted gini, by counting.
+
+    The candidates' rank codes are offset into one key space, one block
+    of ``n_values`` keys per candidate in draw order. Two ``bincount``
+    calls give each key's rows and positive rows, and prefix sums
+    restart at each block (every block holds all ``n`` rows), so a
+    present value's prefix is the sort search's cut just above it — the
+    same exact-integer class masses. The gains are those of the same
+    cuts, in (draw order, value ascending) order, so ``argmax`` keeps
+    the sort search's tie-break, and the threshold is the midpoint of
+    the same two values. Returns ``(feature, threshold, gain,
+    child_masses)``; no feasible cut gives ``(-1, 0.0, -inf, None)``.
+    """
+    n = indices.size
+    sizes = ranks.n_values[candidates]
+    block_start = np.cumsum(sizes) - sizes
+    n_keys = int(block_start[-1] + sizes[-1])
+    keys = ranks.codes[indices[:, None], candidates] + block_start
+    positive = criterion.y_codes[indices] == 1
+    counts = np.bincount(keys.ravel(), minlength=n_keys)
+    positives = np.bincount(keys[positive].ravel(), minlength=n_keys)
+    block = np.repeat(np.arange(candidates.size), sizes)
+    left_n = np.cumsum(counts) - block * n
+    cuts = np.flatnonzero(
+        (counts > 0)
+        & (left_n >= min_samples_leaf)
+        & (left_n <= n - min_samples_leaf)
+    )
+    if not cuts.size:
+        return _NO_SPLIT, 0.0, -np.inf, None
+    class_mass, total_mass, parent_impurity = criterion.node_masses(indices)
+    left_mass = left_n[cuts].astype(float)
+    left1 = np.cumsum(positives)[cuts] - block[cuts] * np.count_nonzero(positive)
+    left1 = left1.astype(float)
+    gain = _binary_gini_gains(
+        left_mass - left1,
+        left1,
+        left_mass,
+        class_mass,
+        total_mass,
+        parent_impurity,
+        True,
+    )
+    best = int(np.argmax(gain))
+    key = cuts[best]
+    column = block[key]
+    block_end = block_start[column] + sizes[column]
+    # The cut's right side starts at the next value present in the node.
+    following = key + 1 + np.flatnonzero(counts[key + 1 : block_end])[0]
+    feature = int(candidates[column])
+    offset = ranks.starts[feature] - block_start[column]
+    threshold = float(
+        (ranks.values[key + offset] + ranks.values[following + offset]) / 2.0
+    )
+    left = np.array([left_mass[best] - left1[best], left1[best]])
+    return feature, threshold, float(gain[best]), (left, class_mass - left)
+
+
 def _grow(
-    X: np.ndarray, criterion, binned: BinnedDataset | None, params
+    X: np.ndarray,
+    criterion,
+    binned: BinnedDataset | None,
+    params,
+    ranks: _ValueRanks | None = None,
 ) -> tuple[_Tree, np.ndarray]:
     """Grow one CART tree; returns it with its raw feature importances.
 
     ``params`` is the tree estimator, read for ``max_depth``,
     ``min_samples_split``, ``min_samples_leaf``, ``max_features`` and
     ``seed``. ``binned`` selects the hist search (``None``: exact).
+    ``ranks`` (exact search, binary unweighted gini only) lets the size
+    rule send a node to :func:`_count_split`.
     """
     n_samples, n_features = X.shape
     n_candidates = _resolve_max_features(params.max_features, n_features)
@@ -649,7 +773,7 @@ def _grow(
     # exactly when every node considers every feature.
     subtraction = binned is not None and n_candidates == n_features
     importances = np.zeros(n_features)
-    exact_nodes = hist_nodes = 0
+    exact_nodes = count_nodes = hist_nodes = 0
 
     def searchable(indices: np.ndarray, depth: int, mass=None) -> bool:
         if indices.size < min_samples_split:
@@ -676,9 +800,15 @@ def _grow(
         child_masses = None
         if binned is None:
             exact_nodes += 1
-            feature, threshold, gain = _exact_split(
-                X, indices, candidates, min_samples_leaf, criterion
-            )
+            if ranks is not None and ranks.counting_pays(candidates, indices.size):
+                count_nodes += 1
+                feature, threshold, gain, child_masses = _count_split(
+                    ranks, indices, candidates, min_samples_leaf, criterion
+                )
+            else:
+                feature, threshold, gain = _exact_split(
+                    X, indices, candidates, min_samples_leaf, criterion
+                )
             gain = criterion.accept(gain, indices)
             if gain is None:
                 continue
@@ -708,9 +838,16 @@ def _grow(
                 go_left,
                 float(binned.cut_thresholds[feature, cut_bin]),
             )
-        left_mass, right_mass = child_masses or (None, None)
         left_indices = indices[go_left]
         right_indices = indices[~go_left]
+        if ranks is not None and child_masses is None:
+            # A binary split the sort search found: one class tally per
+            # child serves both its leaf value and its purity test.
+            child_masses = (
+                criterion._class_mass(left_indices),
+                criterion._class_mass(right_indices),
+            )
+        left_mass, right_mass = child_masses or (None, None)
         left = tree.add_node(criterion.value(left_indices, left_mass))
         right = tree.add_node(criterion.value(right_indices, right_mass))
         tree.make_split(node, feature, threshold, left, right)
@@ -741,6 +878,8 @@ def _grow(
 
     if exact_nodes:
         inc_counter("tree_exact_nodes_total", exact_nodes)
+    if count_nodes:
+        inc_counter("tree_exact_count_nodes_total", count_nodes)
     if hist_nodes:
         inc_counter("tree_hist_nodes_total", hist_nodes)
     tree.finalize()
@@ -820,7 +959,15 @@ class DecisionTreeClassifier(BaseClassifier):
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
         binned: BinnedDataset | None = None,
+        *,
+        _ranks: _ValueRanks | None = None,
     ) -> "DecisionTreeClassifier":
+        """Grow the tree.
+
+        ``_ranks`` is internal: a forest ranks its matrix's values once
+        and hands each member the rows of its bootstrap sample. Without
+        it an exact fit on unweighted binary labels ranks ``X`` itself.
+        """
         X, y = check_X_y(X, y, ndims=(2,))
         self.classes_, y_codes = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
@@ -835,7 +982,10 @@ class DecisionTreeClassifier(BaseClassifier):
             sample_weight = None
         binned = _binned_for_fit(self.split_algorithm, X, binned)
         criterion = _Gini(y_codes, self.classes_.size, sample_weight)
-        self.tree_, importances = _grow(X, criterion, binned, self)
+        ranks = None
+        if binned is None and criterion.binary:
+            ranks = _ValueRanks.build(X) if _ranks is None else _ranks
+        self.tree_, importances = _grow(X, criterion, binned, self, ranks)
         total_importance = importances.sum()
         if total_importance > 0:
             importances /= total_importance

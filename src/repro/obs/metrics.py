@@ -178,7 +178,11 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
     ("gbdt_boosting_rounds_total", "counter",
      "boosting rounds run by GradientBoostingClassifier", None, True),
     ("tree_exact_nodes_total", "counter",
-     "tree nodes split-searched by the exact backend", None, True),
+     "tree nodes split-searched by the exact backend, by sorting or counting",
+     None, True),
+    ("tree_exact_count_nodes_total", "counter",
+     "exact-backend nodes searched by counting value ranks instead of sorting",
+     None, True),
     ("tree_hist_nodes_total", "counter",
      "tree nodes split-searched by the histogram backend", None, True),
     ("tree_bin_cache_hits_total", "counter",

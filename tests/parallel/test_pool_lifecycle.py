@@ -82,6 +82,9 @@ def _kill_pool_workers() -> None:
 
 class TestPoolReuse:
     def test_second_starmap_reuses_the_pool(self):
+        # Start cold: a pool left live by an earlier module would serve
+        # the first starmap too, and the fork delta would be 0.
+        shutdown_pool()
         executor = ParallelExecutor(2)
         forks = _counter("parallel_pool_forks_total")
         reuses = _counter("parallel_pool_reuses_total")
