@@ -26,10 +26,12 @@ view, a row-major one is copied once:
   for small batches, where per-node Python work would dominate.
 * **partition** (:meth:`ForestArena._partition`) — per tree, each split
   node compares its row subset against one contiguous column and hands
-  the two halves to its children.  It adds a fixed cost per visited
-  node, so it is taken by batches where the lane walk would take many
-  lane steps per node (:meth:`ForestArena.partition_min_rows`), such
-  as a monitor window.
+  the two halves to its children.  Nodes near the root, which hold most
+  of the chunk, keep their rows as a boolean mask and compare the whole
+  column; smaller nodes gather an index list.  It adds a fixed cost per
+  visited node, so it is taken by batches where the lane walk would
+  take many lane steps per node (:meth:`ForestArena.partition_min_rows`),
+  such as a monitor window.
 
 Both make exactly the comparisons of the per-tree loops, so they agree
 bit for bit.  Aggregation gathers leaf values from one contiguous 1-D
@@ -66,6 +68,14 @@ _MAX_LANES = 1 << 22
 #: "Arena descent as a row partition").
 _PARTITION_MIN_ROWS = 1024
 _PARTITION_LANE_STEPS_PER_NODE = 1024
+
+#: Inside the partition walk, a node that holds more than this share of
+#: its chunk's rows keeps them as a boolean mask, compared against whole
+#: contiguous columns (under 1 ns per row); a smaller one gathers an
+#: index list and splits by ``take``/``compress`` (about 5 ns per row).
+#: Measured on the monitor forest's lopsided splits (``docs/performance.md``,
+#: "Masks near the root").
+_PARTITION_MASK_SHARE = 0.25
 
 
 def cached_arena(model, build) -> "ForestArena":
@@ -318,23 +328,58 @@ class ForestArena:
     def _partition(self, columns: np.ndarray) -> np.ndarray:
         """Per-tree row partition: one column compare per visited node.
 
-        Same input and output as :meth:`_descend`.  The root holds every
-        row; a split node compares its rows against one contiguous
-        column and passes the two halves to its children, and a leaf
-        writes its node id into its tree's row of ``leaves``.  A
-        one-sided split passes the whole set on, so an empty child is
-        never visited.  ``NaN <= cut`` is False, so NaN rows go right
-        exactly as in the lane walk.
+        Same input and output as :meth:`_descend`.  A split node hands
+        its row set to its children, and a leaf writes its node id into
+        its tree's row of ``leaves``.  A one-sided split passes the whole
+        set on, so an empty child is never visited.  ``NaN <= cut`` is
+        False, so NaN rows go right exactly as in the lane walk.
+
+        A node holds its rows in one of two forms:
+
+        * a boolean **mask** over the chunk while it holds more than
+          ``_PARTITION_MASK_SHARE`` of the chunk's rows (the root starts
+          as an all-true mask).  Its split compares the whole contiguous
+          column and ANDs the mask in; the right half is ``left ^ mask``.
+        * an **index** list below that share: a child switches once with
+          ``flatnonzero``, then splits by ``take`` and ``compress``.
+
+        ``predict_partition_nodes_total`` counts the visited nodes of
+        each form, once per call.
         """
         program = self._program()
         n_rows = columns.shape[1]
         by_feature = list(columns)
         leaves = np.empty((self.n_trees, n_rows), dtype=np.int64)
-        every_row = np.arange(n_rows)
+        dense_rows = _PARTITION_MASK_SHARE * n_rows
+        mask_nodes = index_nodes = 0
         for out, root in zip(leaves, self.roots.tolist()):
-            pending = [(root, every_row)]
+            masks = [(root, np.ones(n_rows, dtype=bool), n_rows)]
+            pending = []
+            while masks:
+                node, mask, count = masks.pop()
+                mask_nodes += 1
+                feature, cut, left, right = program[node]
+                if feature == _NO_SPLIT:
+                    np.copyto(out, node, where=mask)
+                    continue
+                went_left = by_feature[feature] <= cut
+                went_left &= mask
+                n_left = int(np.count_nonzero(went_left))
+                if n_left == count:
+                    masks.append((left, mask, count))
+                elif n_left == 0:
+                    masks.append((right, mask, count))
+                else:
+                    mask ^= went_left  # now the right half
+                    for child, half, n_half in ((left, went_left, n_left),
+                                                (right, mask, count - n_left)):
+                        if n_half > dense_rows:
+                            masks.append((child, half, n_half))
+                        else:
+                            pending.append((child, np.flatnonzero(half)))
             while pending:
                 node, rows = pending.pop()
+                index_nodes += 1
                 feature, cut, left, right = program[node]
                 if feature == _NO_SPLIT:
                     out[rows] = node
@@ -350,6 +395,10 @@ class ForestArena:
                 else:
                     pending.append((left, left_rows))
                     pending.append((right, rows.compress(~went_left)))
+        inc_counter("predict_partition_nodes_total", float(mask_nodes),
+                    form="mask")
+        inc_counter("predict_partition_nodes_total", float(index_nodes),
+                    form="index")
         return leaves
 
     def _chunk_rows(self) -> int:

@@ -358,6 +358,11 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
      "of at least ForestArena.partition_min_rows()); smaller chunks "
      "walk lanes",
      None, True),
+    ("predict_partition_nodes_total", "counter",
+     "tree nodes visited by the arena's row partition, by the form "
+     "their rows were held in (form=mask: a boolean mask over the "
+     "chunk; form=index: an index list); added once per partition call",
+     None, False),
     ("model_artifacts_saved_total", "counter",
      "versioned model artifacts written by save_model", None, True),
     ("model_artifacts_loaded_total", "counter",

@@ -8,6 +8,12 @@ the forest's shape, so both must agree bit for bit with each other and
 with the per-tree loops (``predict_exact``) — for every ensemble
 aggregation, across NaN routing, lone-root trees, empty batches, the
 walk threshold and row chunking.
+
+Inside the partition, a node holds its rows as a boolean mask while it
+has more than ``_PARTITION_MASK_SHARE`` of the chunk's rows and as an
+index list below that.  The share changes only how rows are held, so
+the partition runs at three shares and must give the same leaves at
+each.
 """
 
 from __future__ import annotations
@@ -26,8 +32,15 @@ from tests.ml.arena_oracle import predict_exact
 
 #: A threshold far above every batch here: every chunk walks lanes.
 NEVER = 1 << 40
-#: Walk -> the partition threshold that forces it on every chunk.
-WALKS = {"lanes": NEVER, "partition": 0}
+#: Walk -> (the partition threshold that forces it on every chunk, the
+#: partition's mask share).  Share 0 keeps every visited node a mask;
+#: share 1 switches every child of a two-sided split to indices.
+WALKS = {
+    "lanes": (NEVER, arena._PARTITION_MASK_SHARE),
+    "partition": (0, arena._PARTITION_MASK_SHARE),
+    "partition_masks": (0, 0.0),
+    "partition_indices": (0, 1.0),
+}
 
 
 def _walk_at(monkeypatch, min_rows: int, steps_per_node: int = 0) -> None:
@@ -35,6 +48,12 @@ def _walk_at(monkeypatch, min_rows: int, steps_per_node: int = 0) -> None:
     monkeypatch.setattr(
         arena, "_PARTITION_LANE_STEPS_PER_NODE", steps_per_node
     )
+
+
+def _force(monkeypatch, walk: str) -> None:
+    min_rows, share = WALKS[walk]
+    _walk_at(monkeypatch, min_rows)
+    monkeypatch.setattr(arena, "_PARTITION_MASK_SHARE", share)
 
 
 def _problem(seed: int, n: int = 300, d: int = 5, n_classes: int = 2):
@@ -112,13 +131,22 @@ def _assert_same_bytes(got: np.ndarray, expected: np.ndarray) -> None:
     assert got.tobytes() == expected.tobytes()
 
 
+def _form_counts() -> tuple[float, float]:
+    """``predict_partition_nodes_total`` as (mask, index) nodes."""
+    registry = get_registry()
+    return tuple(
+        registry.counter("predict_partition_nodes_total", form=form).value
+        for form in ("mask", "index")
+    )
+
+
 @pytest.mark.parametrize("algo", ["exact", "hist"])
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("walk", WALKS)
 def test_walks_match_oracle(monkeypatch, walk, name, algo):
     model, predict = _fitted(name, algo)
     rows = _rows(3, 257)
-    _walk_at(monkeypatch, WALKS[walk])
+    _force(monkeypatch, walk)
     _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
 
 
@@ -136,7 +164,7 @@ def test_rows_on_split_thresholds(monkeypatch, walk, name):
         cuts = table.threshold[table.feature == feature]
         if cuts.size:
             column[:] = rng.choice(cuts, column.size)
-    _walk_at(monkeypatch, WALKS[walk])
+    _force(monkeypatch, walk)
     _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
 
 
@@ -218,6 +246,7 @@ def test_nan_rows_route_right(monkeypatch, walk, name):
     rows[::4, 2] = np.nan
     rows[5] = np.nan
     rows[11] = np.nan
+    _force(monkeypatch, walk)
     descend = table._descend if walk == "lanes" else table._partition
     leaves = descend(table.encode(rows))
     assert leaves.shape == (table.n_trees, rows.shape[0])
@@ -226,7 +255,6 @@ def test_nan_rows_route_right(monkeypatch, walk, name):
         columns = [0] if tree_columns is None else tree_columns[t]
         got = table.values[leaves[t]][:, columns]
         _assert_same_bytes(got, member.tree_.predict_value(rows))
-    _walk_at(monkeypatch, WALKS[walk])
     _assert_same_bytes(
         ARENA_PREDICTS[name](model, rows), predict_exact(model, rows)
     )
@@ -239,9 +267,12 @@ def test_lone_root_trees(monkeypatch, walk):
         X, np.full(X.shape[0], 1.5)
     )
     rows = _rows(9, 30)
-    _walk_at(monkeypatch, WALKS[walk])
+    _force(monkeypatch, walk)
+    get_registry().reset()
     _assert_same_bytes(model.predict(rows), predict_exact(model, rows))
     assert model._arena_.max_depth == 0
+    if walk != "lanes":  # each tree's leaf sits under its root mask
+        assert _form_counts() == (3, 0)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -249,7 +280,7 @@ def test_lone_root_trees(monkeypatch, walk):
 def test_empty_batch(monkeypatch, walk, name):
     model, predict = _fitted(name, "exact")
     rows = np.empty((0, 5))
-    _walk_at(monkeypatch, WALKS[walk])
+    _force(monkeypatch, walk)
     _assert_same_bytes(predict(model, rows), predict_exact(model, rows))
     table = model._arena_
     descend = table._descend if walk == "lanes" else table._partition
@@ -266,23 +297,126 @@ def _property_model(name: str, algo: str):
     return _PROPERTY_MODELS[key]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(NAMES),
     algo=st.sampled_from(["exact", "hist"]),
     n_rows=st.integers(0, 200),
     chunk_rows=st.integers(1, 96),
     min_rows=st.integers(0, 120),
+    share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     seed=st.integers(0, 2**16),
 )
 def test_any_chunking_and_threshold_is_exact(
-    name, algo, n_rows, chunk_rows, min_rows, seed
+    name, algo, n_rows, chunk_rows, min_rows, share, seed
 ):
+    """Chunk size × mask share: partition nodes land on both sides of
+    the mask/index switch."""
     model, predict = _property_model(name, algo)
     rows = _rows(seed, n_rows)
     n_trees = len(model.trees_)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arena, "_MAX_LANES", chunk_rows * n_trees)
         _walk_at(patch, min_rows)
+        patch.setattr(arena, "_PARTITION_MASK_SHARE", share)
         got = predict(model, rows)
     _assert_same_bytes(got, predict_exact(model, rows))
+
+
+def _reached_nodes(table, rows: np.ndarray) -> int:
+    """Nodes that at least one row passes through: the ones the
+    partition visits, whatever form holds their rows."""
+    columns = table.encode(rows)
+    n_rows = rows.shape[0]
+    nodes = np.repeat(table.roots, n_rows)
+    row = np.tile(np.arange(n_rows), table.n_trees)
+    seen = set(nodes.tolist())
+    for _ in range(table.max_depth):
+        value = columns[table.gather_feature[nodes], row]
+        nodes = table.child[2 * nodes + ~(value <= table.threshold[nodes])]
+        seen.update(nodes.tolist())
+    return len(seen)
+
+
+def _partition_at(monkeypatch, share: float, table, rows: np.ndarray):
+    """Partition ``rows`` at ``share``: leaves and the per-form counts."""
+    monkeypatch.setattr(arena, "_PARTITION_MASK_SHARE", share)
+    get_registry().reset()
+    leaves = table._partition(table.encode(rows))
+    return leaves, _form_counts()
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("walk", ["partition_masks", "partition_indices"])
+def test_form_counts(monkeypatch, walk, name):
+    """Every reached node is counted once, in the form that held it."""
+    model, predict = _fitted(name, "exact")
+    predict(model, _rows(6, 2))  # build the arena
+    table = model._arena_
+    rows = _rows(21, 300)
+    _, (masks, indices) = _partition_at(monkeypatch, WALKS[walk][1],
+                                        table, rows)
+    assert masks + indices == _reached_nodes(table, rows)
+    if walk == "partition_masks":
+        assert indices == 0
+    else:  # random rows split every root two ways here
+        assert masks == table.n_trees
+
+
+def _side_path(table, root: int, side: int) -> int:
+    """Nodes on the path that always goes ``side`` (0 left, 1 right)."""
+    program = table._program()
+    length, node = 1, root
+    while program[node][0] != arena._NO_SPLIT:
+        node = program[node][2 + side]
+        length += 1
+    return length
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_sided_splits_pass_the_mask_on(monkeypatch, side, name):
+    """Rows far below every cut all go left, NaN rows all go right, so
+    every split is one-sided from the root down: the root's mask is
+    passed on whole, never switched to indices, even at share 1."""
+    model, predict = _fitted(name, "exact")
+    predict(model, _rows(6, 2))
+    table = model._arena_
+    fill = -np.inf if side == "left" else np.nan
+    rows = np.full((64, 5), fill)
+    leaves, counts = _partition_at(
+        monkeypatch, WALKS["partition_indices"][1], table, rows
+    )
+    _assert_same_bytes(leaves, table._descend(table.encode(rows)))
+    step = 0 if side == "left" else 1
+    path = sum(_side_path(table, root, step) for root in table.roots.tolist())
+    assert counts == (path, 0)
+    _walk_at(monkeypatch, 0)
+    _assert_same_bytes(
+        ARENA_PREDICTS[name](model, rows), predict_exact(model, rows)
+    )
+
+
+def _stump() -> arena.ForestArena:
+    """One tree: ``x0 <= 0`` goes to leaf 1, else leaf 2."""
+    no = arena._NO_SPLIT
+    return arena.ForestArena(
+        feature=np.array([0, no, no]),
+        threshold=np.zeros(3),
+        child=np.array([1, 2, 1, 1, 2, 2]),
+        values=np.arange(3.0).reshape(3, 1),
+        roots=np.array([0]),
+        n_features=1,
+        max_depth=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "share, counts", [(0.49, (3, 0)), (0.5, (1, 2)), (0.51, (1, 2))]
+)
+def test_a_half_of_exactly_the_share_takes_indices(monkeypatch, share, counts):
+    """A node stays a mask only with more than ``share × rows`` rows."""
+    rows = np.array([[-1.0], [1.0], [np.nan], [0.0]])
+    leaves, got = _partition_at(monkeypatch, share, _stump(), rows)
+    assert leaves.tolist() == [[1, 2, 2, 1]]
+    assert got == counts
