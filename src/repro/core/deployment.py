@@ -135,11 +135,19 @@ class OperationSummary:
         return float(np.median(self.lead_times))
 
 
-def predict_rows_parallel(model: MFPA, row_indices: np.ndarray) -> np.ndarray:
+def predict_rows_parallel(
+    model: MFPA, row_indices: np.ndarray, alarm_threshold: float | None = None
+) -> np.ndarray:
     """Positive-class probabilities for prepared-dataset rows: the
     window's one serial prediction pass (its own function so the pass
-    can be timed and traced by name)."""
-    return model.predict_proba_rows(row_indices)
+    can be timed and traced by name).
+
+    With ``alarm_threshold``, a random forest stops descending rows
+    that provably stay below it and returns them as NaN
+    (:meth:`repro.ml.arena.ForestArena.predict_mean`); every row at or
+    above it keeps its exact probability.
+    """
+    return model.predict_proba_rows(row_indices, at_least=alarm_threshold)
 
 
 def score_prepared_window(
@@ -164,10 +172,15 @@ def score_prepared_window(
     independently the union of per-shard alarms equals the in-RAM
     monitor's window bit for bit.
 
+    Only rows at or above ``alarm_threshold`` matter here, so the
+    prediction pass is screened at it (:func:`predict_rows_parallel`):
+    rows proven below it come back NaN, which never compares ``>=``.
+
     Every call observes ``window_stage_seconds`` once per stage:
     ``select`` (the window's rows, by one mask over the prepared
-    ``day``/``serial`` columns), ``score`` (the prediction pass) and
-    ``decide`` (first crossings and alarms).
+    ``day``/``serial`` columns; rows run in (serial, day) order, so the
+    scored drives are counted at serial change points), ``score`` (the
+    prediction pass) and ``decide`` (first crossings and alarms).
     """
     started = time.perf_counter()
     prepared = model.dataset_
@@ -179,14 +192,16 @@ def score_prepared_window(
     rows = np.flatnonzero((day >= start_day) & (day < end_day))
     rows = rows[np.isin(serial[rows], candidates)]
     rows_serial = serial[rows]
-    n_scored = int(np.unique(rows_serial).size)
+    n_scored = int(rows_serial.size and 1 + np.count_nonzero(
+        rows_serial[1:] != rows_serial[:-1]
+    ))
     selected = time.perf_counter()
 
     alarms: list[Alarm] = []
     probabilities = np.empty(0)
     if n_scored:
         # One batched prediction pass across every scored drive.
-        probabilities = predict_rows_parallel(model, rows)
+        probabilities = predict_rows_parallel(model, rows, alarm_threshold)
     scored = time.perf_counter()
 
     # Rows run in (serial, day) order, so the first crossing position

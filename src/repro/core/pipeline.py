@@ -590,11 +590,18 @@ class MFPA:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def predict_proba_rows(self, row_indices: np.ndarray) -> np.ndarray:
-        """Positive-class probability for rows of the prepared dataset."""
+    def predict_proba_rows(
+        self, row_indices: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
+        """Positive-class probability for rows of the prepared dataset.
+
+        With ``at_least``, rows the model proves below it may come back
+        NaN (:meth:`repro.ml.base.BaseClassifier.predict_proba`); rows at
+        or above it are exact.
+        """
         self._check_fitted()
         X = self.assembler_.assemble(self.dataset_.columns, np.asarray(row_indices))
-        return self.model_.predict_proba(X)[:, 1]
+        return self.model_.predict_proba(X, at_least=at_least)[:, 1]
 
     # ------------------------------------------------------------------
     # Evaluation

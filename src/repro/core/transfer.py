@@ -126,7 +126,11 @@ class TransferredMFPA:
         return self.source_model.model_.predict_proba(X)[:, 1]
 
     # ------------------------------------------------------------------
-    def predict_proba_rows(self, row_indices: np.ndarray) -> np.ndarray:
+    def predict_proba_rows(
+        self, row_indices: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
+        """Blended positive-class probability; exact on every row (a blend
+        cannot screen, so ``at_least`` is ignored)."""
         if not hasattr(self, "alpha"):
             raise RuntimeError("TransferredMFPA is not fitted yet")
         target_scores = self.target_model.predict_proba_rows(row_indices)

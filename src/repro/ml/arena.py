@@ -39,6 +39,18 @@ vector per output with ``take`` and preserves the seed's float
 accumulation order (a sequential per-tree loop, never a pairwise
 ``np.sum`` over the tree axis), so ensemble probabilities — not just
 alarms — stay bit-identical at any walk, row chunking and input layout.
+
+**Screening.**  A monitor only asks which rows reach its alarm
+threshold, so :meth:`ForestArena.predict_mean` takes ``at_least``.  A
+partitioned chunk then walks tree by tree over a shrinking live set
+(:meth:`ForestArena._screen`, on the same per-tree walk,
+:meth:`ForestArena._walk_tree`): after each tree a row whose
+positive-class sum plus the largest leaves of the trees left (a suffix
+cached like the partition program) stays below ``n_trees × at_least``,
+less a slack far above float rounding, leaves the walk and comes back
+NaN.  Live rows keep the float additions of the full aggregation, so
+every row that reaches the threshold is bit-identical.  Lane-walk
+chunks are scored in full.
 """
 
 from __future__ import annotations
@@ -76,6 +88,25 @@ _PARTITION_LANE_STEPS_PER_NODE = 1024
 #: Measured on the monitor forest's lopsided splits (``docs/performance.md``,
 #: "Masks near the root").
 _PARTITION_MASK_SHARE = 0.25
+
+#: The output column :meth:`ForestArena.predict_mean` screens at a
+#: threshold: the positive class of a binary forest.
+_SCREENED_OUTPUT = 1
+
+#: Per tree, how far below ``n_trees * at_least`` a row's reachable sum
+#: must fall before screening drops it.  ``n_trees`` sequential float
+#: additions of leaf values in ``[0, 1]`` round by at most about
+#: ``n_trees**2 * 2**-53`` (under 1e-12 for a thousand trees), so a
+#: dropped row's computed mean stays below the threshold.
+_SCREEN_SLACK = 1e-9
+
+
+def _count_forms(mask_nodes: int, index_nodes: int) -> None:
+    """Add a partition's visited-node counts, by form."""
+    inc_counter("predict_partition_nodes_total", float(mask_nodes),
+                form="mask")
+    inc_counter("predict_partition_nodes_total", float(index_nodes),
+                form="index")
 
 
 def cached_arena(model, build) -> "ForestArena":
@@ -129,6 +160,7 @@ class ForestArena:
         # result is discarded because they self-loop.
         self.gather_feature = np.where(feature != _NO_SPLIT, feature, 0)
         self.program = None
+        self.reach = None
 
     # ---------------------------------------------------------- build
 
@@ -328,23 +360,10 @@ class ForestArena:
     def _partition(self, columns: np.ndarray) -> np.ndarray:
         """Per-tree row partition: one column compare per visited node.
 
-        Same input and output as :meth:`_descend`.  A split node hands
-        its row set to its children, and a leaf writes its node id into
-        its tree's row of ``leaves``.  A one-sided split passes the whole
-        set on, so an empty child is never visited.  ``NaN <= cut`` is
-        False, so NaN rows go right exactly as in the lane walk.
-
-        A node holds its rows in one of two forms:
-
-        * a boolean **mask** over the chunk while it holds more than
-          ``_PARTITION_MASK_SHARE`` of the chunk's rows (the root starts
-          as an all-true mask).  Its split compares the whole contiguous
-          column and ANDs the mask in; the right half is ``left ^ mask``.
-        * an **index** list below that share: a child switches once with
-          ``flatnonzero``, then splits by ``take`` and ``compress``.
-
-        ``predict_partition_nodes_total`` counts the visited nodes of
-        each form, once per call.
+        Same input and output as :meth:`_descend`: every row of the
+        chunk walks every tree (:meth:`_walk_tree`), starting from an
+        all-true root mask.  ``predict_partition_nodes_total`` counts
+        the visited nodes of each form, once per call.
         """
         program = self._program()
         n_rows = columns.shape[1]
@@ -353,53 +372,160 @@ class ForestArena:
         dense_rows = _PARTITION_MASK_SHARE * n_rows
         mask_nodes = index_nodes = 0
         for out, root in zip(leaves, self.roots.tolist()):
-            masks = [(root, np.ones(n_rows, dtype=bool), n_rows)]
-            pending = []
-            while masks:
-                node, mask, count = masks.pop()
-                mask_nodes += 1
-                feature, cut, left, right = program[node]
-                if feature == _NO_SPLIT:
-                    np.copyto(out, node, where=mask)
-                    continue
-                went_left = by_feature[feature] <= cut
-                went_left &= mask
-                n_left = int(np.count_nonzero(went_left))
-                if n_left == count:
-                    masks.append((left, mask, count))
-                elif n_left == 0:
-                    masks.append((right, mask, count))
-                else:
-                    mask ^= went_left  # now the right half
-                    for child, half, n_half in ((left, went_left, n_left),
-                                                (right, mask, count - n_left)):
-                        if n_half > dense_rows:
-                            masks.append((child, half, n_half))
-                        else:
-                            pending.append((child, np.flatnonzero(half)))
-            while pending:
-                node, rows = pending.pop()
-                index_nodes += 1
-                feature, cut, left, right = program[node]
-                if feature == _NO_SPLIT:
-                    out[rows] = node
-                    continue
-                went_left = by_feature[feature].take(rows) <= cut
-                # ``compress``, not a boolean index: the latter is several
-                # times slower on evenly mixed masks (balanced splits).
-                left_rows = rows.compress(went_left)
-                if left_rows.size == rows.size:
-                    pending.append((left, rows))
-                elif left_rows.size == 0:
-                    pending.append((right, rows))
-                else:
-                    pending.append((left, left_rows))
-                    pending.append((right, rows.compress(~went_left)))
-        inc_counter("predict_partition_nodes_total", float(mask_nodes),
-                    form="mask")
-        inc_counter("predict_partition_nodes_total", float(index_nodes),
-                    form="index")
+            masks, indices = self._walk_tree(
+                program, by_feature, out, root,
+                np.ones(n_rows, dtype=bool), n_rows, dense_rows)
+            mask_nodes += masks
+            index_nodes += indices
+        _count_forms(mask_nodes, index_nodes)
         return leaves
+
+    @staticmethod
+    def _walk_tree(program, by_feature, out, root, rows, count,
+                   dense_rows) -> tuple[int, int]:
+        """Partition one tree's live ``rows`` down to their leaves.
+
+        A split node hands its row set to its children, and a leaf
+        writes its node id into ``out`` at its rows; entries of rows
+        outside the live set are left untouched.  A one-sided split
+        passes the whole set on, so an empty child is never visited.
+        ``NaN <= cut`` is False, so NaN rows go right exactly as in the
+        lane walk.
+
+        A node holds its rows in one of two forms:
+
+        * a boolean **mask** over the chunk while it holds more than
+          ``dense_rows`` rows (``_PARTITION_MASK_SHARE`` of the chunk).
+          Its split compares the whole contiguous column and ANDs the
+          mask in; the right half is ``left ^ mask``.
+        * an **index** list below that share: a child switches once with
+          ``nonzero``, then splits by ``take`` and ``compress``.
+
+        ``rows`` is the live set in either form (a mask holding
+        ``count`` rows, which the walk may overwrite, or an index list).
+        Returns the numbers of nodes visited as masks and as index lists.
+        """
+        masks, pending = [], []
+        if rows.dtype == bool:
+            masks.append((root, rows, count))
+        else:
+            pending.append((root, rows))
+        mask_nodes = index_nodes = 0
+        while masks:
+            node, mask, count = masks.pop()
+            mask_nodes += 1
+            feature, cut, left, right = program[node]
+            if feature == _NO_SPLIT:
+                np.copyto(out, node, where=mask)
+                continue
+            went_left = by_feature[feature] <= cut
+            went_left &= mask
+            n_left = int(np.count_nonzero(went_left))
+            if n_left == count:
+                masks.append((left, mask, count))
+            elif n_left == 0:
+                masks.append((right, mask, count))
+            else:
+                mask ^= went_left  # now the right half
+                for child, half, n_half in ((left, went_left, n_left),
+                                            (right, mask, count - n_left)):
+                    if n_half > dense_rows:
+                        masks.append((child, half, n_half))
+                    else:
+                        # ``nonzero`` of the 1-D mask: ``flatnonzero``
+                        # minus its ravel and dispatch wrappers.
+                        pending.append((child, half.nonzero()[0]))
+        while pending:
+            node, rows = pending.pop()
+            index_nodes += 1
+            feature, cut, left, right = program[node]
+            if feature == _NO_SPLIT:
+                out[rows] = node
+                continue
+            went_left = by_feature[feature].take(rows) <= cut
+            # ``compress``, not a boolean index: the latter is several
+            # times slower on evenly mixed masks (balanced splits).
+            left_rows = rows.compress(went_left)
+            if left_rows.size == rows.size:
+                pending.append((left, rows))
+            elif left_rows.size == 0:
+                pending.append((right, rows))
+            else:
+                pending.append((left, left_rows))
+                pending.append((right, rows.compress(~went_left)))
+        return mask_nodes, index_nodes
+
+    def _reach(self) -> np.ndarray:
+        """``reach[t]``: the most trees ``t, t+1, ...`` can add to the
+        screened output (:data:`_SCREENED_OUTPUT`), by largest leaf.
+
+        Built once, like :meth:`_program`; ``reach[n_trees]`` is 0.
+        """
+        reach = getattr(self, "reach", None)
+        if reach is None:
+            leaf_values = np.where(self.feature == _NO_SPLIT,
+                                   self.output_values[_SCREENED_OUTPUT],
+                                   -np.inf)
+            best = np.maximum.reduceat(leaf_values, self.roots)
+            reach = self.reach = np.zeros(self.n_trees + 1)
+            reach[:-1] = np.cumsum(best[::-1])[::-1]
+        return reach
+
+    def _screen(self, columns: np.ndarray, floor: float):
+        """Row partition that drops rows whose sum cannot reach ``floor``.
+
+        Trees are walked in order (:meth:`_walk_tree`) and the screened
+        output's leaf values are summed per live row as each tree is
+        walked, from 0.0 in tree order — the float additions of the full
+        aggregation.  After tree ``t`` a row leaves the walk when its sum
+        plus ``reach[t + 1]`` (:meth:`_reach`) is below ``floor``: no
+        leaves of the trees left can lift it there.  A live set of more
+        than the mask share starts each tree as a mask, a smaller one
+        directly as an index list.
+
+        Returns ``(leaves, kept, partial)``: leaves as from
+        :meth:`_partition` (valid in the ``kept`` columns only), the
+        rows that stayed live through the last tree, and their sums.
+        ``predict_screened_lanes_total`` counts the ``(tree, row)``
+        lanes walked and skipped, once per call.
+        """
+        program = self._program()
+        reach = self._reach()
+        values = self.output_values[_SCREENED_OUTPUT]
+        n_rows = columns.shape[1]
+        by_feature = list(columns)
+        leaves = np.empty((self.n_trees, n_rows), dtype=np.int64)
+        dense_rows = _PARTITION_MASK_SHARE * n_rows
+        mask_nodes = index_nodes = walked = 0
+        kept = np.arange(n_rows)
+        partial = np.zeros(n_rows)
+        for tree, (out, root) in enumerate(zip(leaves, self.roots.tolist())):
+            count = kept.size
+            if count == 0:
+                break
+            walked += count
+            if count == n_rows:
+                rows = np.ones(n_rows, dtype=bool)
+            elif count > dense_rows:
+                rows = np.zeros(n_rows, dtype=bool)
+                rows[kept] = True
+            else:
+                rows = kept
+            masks, indices = self._walk_tree(
+                program, by_feature, out, root, rows, count, dense_rows)
+            mask_nodes += masks
+            index_nodes += indices
+            partial += values.take(out if count == n_rows else out.take(kept))
+            reachable = partial + reach[tree + 1] >= floor
+            if not reachable.all():
+                kept = kept.compress(reachable)
+                partial = partial.compress(reachable)
+        _count_forms(mask_nodes, index_nodes)
+        inc_counter("predict_screened_lanes_total", float(walked),
+                    outcome="walked")
+        inc_counter("predict_screened_lanes_total",
+                    float(self.n_trees * n_rows - walked), outcome="skipped")
+        return leaves, kept, partial
 
     def _chunk_rows(self) -> int:
         return max(1, _MAX_LANES // max(1, self.n_trees))
@@ -410,12 +536,17 @@ class ForestArena:
         per_row = max(1, self.n_trees) * max(1, self.max_depth)
         return max(_PARTITION_MIN_ROWS, -(-lane_steps // per_row))
 
-    def _leaf_chunks(self, X: np.ndarray):
-        """Yield ``(span, leaves)`` per row chunk of a batch.
+    def _leaf_chunks(self, X: np.ndarray, floor: float | None = None):
+        """Yield ``(span, leaves, kept)`` per row chunk of a batch.
 
         ``leaves`` is the chunk's ``(n_trees, rows)`` absolute leaf ids.
         A chunk of at least :meth:`partition_min_rows` rows descends by
         row partition, a smaller one by lanes; both are bit-identical.
+        ``kept`` is None when every row walked every tree.  With a
+        ``floor``, a partitioned chunk is screened (:meth:`_screen`):
+        ``kept`` is then its ``(rows, partial)`` — the rows still live
+        after the last tree (the only columns of ``leaves`` that are
+        valid) and their sums of the screened output.
         ``predict_batch_seconds`` is observed once the last chunk has
         been consumed, so it spans encode, descent and aggregation.
         """
@@ -427,11 +558,15 @@ class ForestArena:
             span = slice(start, start + chunk)
             part = columns[:, span]
             n_rows = part.shape[1]
-            if n_rows >= min_rows:
-                inc_counter("predict_partition_rows_total", float(n_rows))
-                yield span, self._partition(part)
+            if n_rows < min_rows:
+                yield span, self._descend(part), None
+                continue
+            inc_counter("predict_partition_rows_total", float(n_rows))
+            if floor is None:
+                yield span, self._partition(part), None
             else:
-                yield span, self._descend(part)
+                leaves, rows, partial = self._screen(part, floor)
+                yield span, leaves, (rows, partial)
         inc_counter("predict_requests_total", engine="float")
         inc_counter("predict_rows_total", float(X.shape[0]), engine="float")
         observe_histogram(
@@ -440,21 +575,48 @@ class ForestArena:
 
     # ---------------------------------------------- ensemble predicts
 
-    def predict_mean(self, X: np.ndarray) -> np.ndarray:
+    def predict_mean(self, X: np.ndarray,
+                     at_least: float | None = None) -> np.ndarray:
         """Forest-classifier aggregation: mean of aligned leaf values.
 
         Accumulates tree-by-tree per output column and row chunk — the
         same float addition sequence as the seed's per-tree loop, so
         probabilities are bit-identical.  Returns the transpose of an
         ``(outputs, rows)`` block, so each output's column is contiguous.
+
+        With ``at_least``, partitioned chunks are screened on output
+        :data:`_SCREENED_OUTPUT`: a row leaves the walk once the trees
+        left cannot lift that output's mean to ``at_least`` (less a
+        slack of ``_SCREEN_SLACK`` per tree), and comes back NaN in
+        every column.  Every other row — all that reach ``at_least`` —
+        keeps its bit-identical probabilities.
         """
-        out = np.zeros((self.output_values.shape[0], X.shape[0]))
-        for span, leaves in self._leaf_chunks(X):
+        n_outputs = self.output_values.shape[0]
+        floor = None
+        if at_least is not None and n_outputs > _SCREENED_OUTPUT:
+            floor = self.n_trees * (at_least - _SCREEN_SLACK)
+        out = np.zeros((n_outputs, X.shape[0]))
+        for span, leaves, kept in self._leaf_chunks(X, floor):
             block = out[:, span]
-            for aggregate, values in zip(block, self.output_values):
-                for tree_leaves in leaves:
-                    aggregate += values.take(tree_leaves)
-            block /= self.n_trees
+            if kept is None:
+                for aggregate, values in zip(block, self.output_values):
+                    for tree_leaves in leaves:
+                        aggregate += values.take(tree_leaves)
+                block /= self.n_trees
+                continue
+            rows, partial = kept
+            block.fill(np.nan)
+            leaves = leaves.take(rows, axis=1)
+            for output, (aggregate, values) in enumerate(
+                zip(block, self.output_values)
+            ):
+                if output == _SCREENED_OUTPUT:
+                    total = partial
+                else:
+                    total = np.zeros(rows.size)
+                    for tree_leaves in leaves:
+                        total += values.take(tree_leaves)
+                aggregate[rows] = total / self.n_trees
         return out.T
 
     def predict_raw(self, X: np.ndarray, initial_score: float,
@@ -462,7 +624,7 @@ class ForestArena:
         """GBDT aggregation: additive raw score in boosting order."""
         raw = np.full(X.shape[0], initial_score)
         values = self.output_values[0]
-        for span, leaves in self._leaf_chunks(X):
+        for span, leaves, _ in self._leaf_chunks(X):
             segment = raw[span]
             for tree_leaves in leaves:
                 segment += learning_rate * values.take(tree_leaves)
@@ -476,6 +638,6 @@ class ForestArena:
         pattern) the seed applies to its list of per-tree predictions.
         """
         stack = np.empty((self.n_trees, X.shape[0]))
-        for span, leaves in self._leaf_chunks(X):
+        for span, leaves, _ in self._leaf_chunks(X):
             stack[:, span] = self.output_values[0].take(leaves)
         return stack

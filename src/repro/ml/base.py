@@ -50,8 +50,16 @@ class BaseClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BaseClassifier":
         raise NotImplementedError
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Return an ``(n_samples, n_classes)`` array of class probabilities."""
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
+        """Return an ``(n_samples, n_classes)`` array of class probabilities.
+
+        ``at_least`` lets a model skip work on rows whose positive-class
+        (second column) probability it can prove is below that value:
+        such rows may come back NaN in every column.  Rows at or above
+        it are always exact, and a model that cannot screen ignores it.
+        """
         raise NotImplementedError
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -61,7 +61,9 @@ class VotingClassifier(BaseClassifier):
             self._normalized_weights = weights / weights.sum()
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         self._check_fitted()
         aggregate = None
         for (name, _), weight in zip(self.estimators, self._normalized_weights):

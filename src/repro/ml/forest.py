@@ -185,7 +185,16 @@ class RandomForestClassifier(ArenaCached, BaseClassifier):
             for tree in self.trees_
         ]
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
+        """Class probabilities, averaged over the member trees.
+
+        With ``at_least``, rows whose second-class (positive) probability
+        is proven below it part-way through the trees stop descending and
+        come back NaN in every column; every row at or above it keeps
+        its exact probabilities (:meth:`ForestArena.predict_mean`).
+        """
         self._check_fitted()
         X = check_X(X, self.n_features_, ndims=(2,))
         tree_columns = getattr(self, "_tree_columns_", None)
@@ -200,7 +209,7 @@ class RandomForestClassifier(ArenaCached, BaseClassifier):
                 tree_columns=tree_columns,
             ),
         )
-        return arena.predict_mean(X)
+        return arena.predict_mean(X, at_least=at_least)
 
 
 class RandomForestRegressor(ArenaCached):

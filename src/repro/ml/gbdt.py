@@ -153,6 +153,8 @@ class GradientBoostingClassifier(ArenaCached, BaseClassifier):
         )
         return arena.predict_raw(X, self.initial_score_, self.learning_rate)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         positive = _sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - positive, positive])

@@ -148,7 +148,9 @@ class IsolationForest(BaseClassifier):
         mean_path = np.mean([tree.path_length(X) for tree in self.trees_], axis=0)
         return 2.0 ** (-mean_path / self._normalizer)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         scores = self.anomaly_score(X)
         return np.column_stack([1.0 - scores, scores])
 

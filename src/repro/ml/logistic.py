@@ -128,6 +128,8 @@ class LogisticRegression(BaseClassifier):
         Xs = (X - self._mean) / self._scale
         return Xs @ self.coef_ + self.intercept_
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         positive = _sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - positive, positive])

@@ -262,7 +262,9 @@ class GridSearchCV:
             raise RuntimeError("GridSearchCV is not fitted (or refit=False)")
         return self.best_estimator_.predict(X)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         if not hasattr(self, "best_estimator_"):
             raise RuntimeError("GridSearchCV is not fitted (or refit=False)")
-        return self.best_estimator_.predict_proba(X)
+        return self.best_estimator_.predict_proba(X, at_least=at_least)

@@ -53,7 +53,9 @@ class GaussianNaiveBayes(BaseClassifier):
         ).sum(axis=2)
         return log_likelihood + self.class_log_prior_[None, :]
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         self._check_fitted()
         joint = self._joint_log_likelihood(X)
         joint -= joint.max(axis=1, keepdims=True)

@@ -123,7 +123,9 @@ class CNNLSTMClassifier(BaseClassifier):
             self.loss_history_.append(epoch_loss / n_samples)
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         self._check_fitted()
         X = check_X(X)
         sequences = self._to_sequences(X)

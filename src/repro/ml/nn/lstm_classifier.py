@@ -102,7 +102,9 @@ class LSTMClassifier(BaseClassifier):
             self.loss_history_.append(epoch_loss / n_samples)
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         self._check_fitted()
         X = check_X(X)
         sequences = (self._to_sequences(X) - self._mean) / self._scale

@@ -95,7 +95,9 @@ class LinearSVM(BaseClassifier):
         Xs = (X - self._mean) / self._scale
         return Xs @ self.coef_ + self.intercept_
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         margins = self.decision_function(X)
         positive = 1.0 / (1.0 + np.exp(-np.clip(margins, -500, 500)))
         return np.column_stack([1.0 - positive, positive])

@@ -994,7 +994,9 @@ class DecisionTreeClassifier(BaseClassifier):
         self.bin_edges_ = None if binned is None else binned.bin_edges
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(
+        self, X: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         self._check_fitted()
         X = check_X(X, self.n_features_, ndims=(2,))
         return self.tree_.predict_value(X)

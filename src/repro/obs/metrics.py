@@ -363,6 +363,12 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
      "their rows were held in (form=mask: a boolean mask over the "
      "chunk; form=index: an index list); added once per partition call",
      None, False),
+    ("predict_screened_lanes_total", "counter",
+     "(tree, row) lanes of threshold-screened arena predicts, by outcome "
+     "(walked: descended; skipped: dropped once the row's mean could no "
+     "longer reach the threshold); added once per screened partition "
+     "call",
+     None, False),
     ("model_artifacts_saved_total", "counter",
      "versioned model artifacts written by save_model", None, True),
     ("model_artifacts_loaded_total", "counter",

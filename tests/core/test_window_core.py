@@ -38,7 +38,9 @@ class TableModel:
         self.dataset_ = dataset
         self.scores = scores
 
-    def predict_proba_rows(self, row_indices: np.ndarray) -> np.ndarray:
+    def predict_proba_rows(
+        self, row_indices: np.ndarray, at_least: float | None = None
+    ) -> np.ndarray:
         return self.scores[np.asarray(row_indices)]
 
 
@@ -133,7 +135,7 @@ class TestScoreWindowParity:
         deadline=None,
     )
     @given(
-        threshold=st.sampled_from([0.05, 0.2, 0.5]),
+        threshold=st.sampled_from([0.05, 0.2, 0.5, 0.8]),
         start=st.integers(230, 330),
         length=st.sampled_from([7, 15, 30]),
         n_alarmed=st.integers(0, 20),

@@ -47,20 +47,22 @@ FIXED_ROWS = (512, 2048)
 
 def monitor_forest(seed: int, cache: Path):
     """The e2e monitor model's arena and its windows' rows, as one
-    ``(rows, features)`` batch, captured from one workload run."""
+    ``(rows, features)`` batch, captured from one workload run (the
+    monitor screens its windows at the alarm threshold, so the rows are
+    captured where they enter ``ForestArena._screen``)."""
     workload = Monitor(ensure(seed, "full", cache))
     captured = []
-    partition = ForestArena._partition
+    screen = ForestArena._screen
 
-    def spy(table, columns):
+    def spy(table, columns, floor):
         captured.append((table, np.array(columns)))
-        return partition(table, columns)
+        return screen(table, columns, floor)
 
-    ForestArena._partition = spy
+    ForestArena._screen = spy
     try:
         workload.run(workload.setup())
     finally:
-        ForestArena._partition = partition
+        ForestArena._screen = screen
         workload.close()
     table = captured[0][0]
     rows = np.concatenate([columns for _, columns in captured], axis=1).T
